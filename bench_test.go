@@ -671,14 +671,18 @@ func BenchmarkCheckAllVacuityPruned(b *testing.B) {
 }
 
 // BenchmarkCEGARVerifyAll times the full MC ⇄ CPV loop over the same
-// property set, where unrefined properties share one cached exploration
-// via lazy clone-on-refine.
+// property set, where properties with identical (unrefined or equally
+// refined) models share one cached exploration. Each iteration starts
+// from an empty default engine, so it pays for every distinct model's
+// exploration instead of reading the previous iteration's graphs.
 func BenchmarkCEGARVerifyAll(b *testing.B) {
 	m := benchModel(b, ue.ProfileConformant)
 	list := catalogueMCProperties(b)
 	cfg := cegar.Config{PreCapture: true}
+	defer func(e *mc.Engine) { mc.DefaultEngine = e }(mc.DefaultEngine)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		mc.DefaultEngine = mc.NewEngine()
 		outs, err := cegar.VerifyAllContext(context.Background(), m.Composed, list, cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -113,6 +113,12 @@ for metric in mc.states_explored mc.graph_cache_misses mc.check_ms \
     grep -q "$metric" <<<"$vars" || { echo "smoke: /debug/vars missing $metric"; exit 1; }
 done
 grep -q '"tool": "prochecker"' "$smoke_dir/run.json" || { echo "smoke: manifest malformed"; exit 1; }
+# Every exploration names the model it covered (the 12-hex fingerprint
+# the graph cache keys on); "model" sorts first among the span's attrs.
+explore_spans=$(grep -c '"name": "mc.explore"' "$smoke_dir/run.json" || true)
+explore_models=$(grep -A6 '"name": "mc.explore"' "$smoke_dir/run.json" | grep -cE '"model": "[0-9a-f]{12}"' || true)
+[[ "$explore_spans" -gt 0 && "$explore_spans" == "$explore_models" ]] \
+    || { echo "smoke: $explore_models of $explore_spans mc.explore spans carry a model attribute"; exit 1; }
 kill "$smoke_pid" && wait "$smoke_pid" 2>/dev/null || true
 smoke_pid=""
 echo "observability smoke OK (scraped http://$addr/debug/vars)"

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"prochecker/internal/mc"
 	"prochecker/internal/obs"
 	"prochecker/internal/resilience"
 )
@@ -142,7 +143,18 @@ func TestConformanceUnderFaults(t *testing.T) {
 	}
 }
 
+// coldEngine gives the test an empty process-wide graph cache: models
+// are cached by fingerprint across runs in one process, so without it
+// what a run explores would depend on which tests ran before.
+func coldEngine(t *testing.T) {
+	t.Helper()
+	prev := mc.DefaultEngine
+	mc.DefaultEngine = mc.NewEngine()
+	t.Cleanup(func() { mc.DefaultEngine = prev })
+}
+
 func TestManifestWritten(t *testing.T) {
+	coldEngine(t)
 	path := filepath.Join(t.TempDir(), "run.json")
 	_, err := capture(t, func() error {
 		return run([]string{"-impl", "conformant", "-check", "S06", "-quiet", "-manifest", path})

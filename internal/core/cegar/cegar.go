@@ -140,7 +140,10 @@ func Verify(composed *threat.Composed, prop mc.Property, cfg Config) (Outcome, e
 // Each run is one "cegar.verify" span with one "cegar.iteration" child
 // per refinement-loop pass (each wrapping the model-checker run and,
 // when a counterexample needs validating, a "cpv.validate" child), and
-// the loop's totals land in the cegar.* registry counters.
+// the loop's totals land in the cegar.* registry counters. Every
+// iteration span names the model it checked ("model", the short
+// fingerprint) and whether the engine's graph cache answered it
+// ("cache" = hit or miss).
 func VerifyContext(ctx context.Context, composed *threat.Composed, prop mc.Property, cfg Config) (Outcome, error) {
 	ctx, span := obs.Start(ctx, "cegar.verify", obs.A("property", prop.Name()))
 	out, err := verifyContext(ctx, composed, prop, cfg)
@@ -159,6 +162,14 @@ func VerifyContext(ctx context.Context, composed *threat.Composed, prop mc.Prope
 	return out, err
 }
 
+// cacheLabel names a check's graph-cache outcome for span attributes.
+func cacheLabel(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
+}
+
 // verdictLabel names an outcome for span attributes.
 func verdictLabel(out Outcome) string {
 	switch {
@@ -175,11 +186,12 @@ func verifyContext(ctx context.Context, composed *threat.Composed, prop mc.Prope
 	if composed == nil || composed.System == nil {
 		return Outcome{}, fmt.Errorf("cegar: nil composed model")
 	}
-	// The composed system is used read-only until the first refinement
-	// actually mutates it; cloning lazily lets every property's first
-	// iteration share one cached reachability graph.
+	// A system handed to the checker is never edited afterwards: the
+	// engine shares one cached graph — whose traces are built from the
+	// system explored first — among all systems with the same
+	// fingerprint, so every refinement derives a fresh clone. Unrefined
+	// properties all check the composed system itself.
 	sys := composed.System
-	owned := false
 	opts := cfg.mcOptions()
 	out := Outcome{Property: prop.Name()}
 
@@ -189,8 +201,10 @@ func verifyContext(ctx context.Context, composed *threat.Composed, prop mc.Prope
 				prop.Name(), out.Iterations, resilience.ErrCancelled)
 		}
 		out.Iterations++
-		iterCtx, iterSpan := obs.Start(ctx, "cegar.iteration", obs.A("n", strconv.Itoa(out.Iterations)))
-		res, err := mc.CheckContext(iterCtx, sys, prop, opts)
+		iterCtx, iterSpan := obs.Start(ctx, "cegar.iteration",
+			obs.A("n", strconv.Itoa(out.Iterations)), obs.A("model", sys.Fingerprint().Short()))
+		res, shared, err := mc.CheckShared(iterCtx, sys, prop, opts)
+		iterSpan.SetAttr("cache", cacheLabel(shared))
 		out.StatesExplored = res.StatesExplored
 		if err != nil {
 			iterSpan.EndErr(err)
@@ -234,14 +248,12 @@ func verifyContext(ctx context.Context, composed *threat.Composed, prop mc.Prope
 			iterSpan.End()
 			return out, nil
 		}
-		if !owned {
-			sys = sys.Clone()
-			owned = true
-		}
-		if err := applyRefinement(sys, refinement); err != nil {
+		refined := sys.Clone()
+		if err := applyRefinement(refined, refinement); err != nil {
 			iterSpan.EndErr(err)
 			return out, err
 		}
+		sys = refined
 		out.Refinements = append(out.Refinements, refinement)
 		iterSpan.SetAttr("refined", refinement.Rule)
 		iterSpan.End()
@@ -358,8 +370,9 @@ func VerifyAll(composed *threat.Composed, props []mc.Property, cfg Config) ([]Ou
 // per-property failures are collected while the remaining properties
 // still run, and the completed outcomes are returned in property order —
 // identical to a sequential walk — alongside the aggregated error.
-// Unrefined properties share one cached exploration of the composed
-// system, so the batch is cheaper than the sum of its parts.
+// Properties whose models are identical — unrefined, or refined the same
+// way — share one cached exploration, so the batch is cheaper than the
+// sum of its parts.
 // Cancellation stops the catalogue walk promptly.
 func VerifyAllContext(ctx context.Context, composed *threat.Composed, props []mc.Property, cfg Config) ([]Outcome, error) {
 	type slot struct {

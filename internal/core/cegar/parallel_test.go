@@ -55,8 +55,9 @@ func TestVerifyAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestVerifyAllSharedExploration: with lazy clone-on-refine, the first
-// iteration of every property discharges on one cached graph.
+// TestVerifyAllSharedExploration: the first iteration of every property
+// checks the unrefined composed system and discharges on one cached
+// graph.
 func TestVerifyAllSharedExploration(t *testing.T) {
 	c := composed(t, false)
 	props := []mc.Property{

@@ -254,11 +254,10 @@ type Composed struct {
 	ForceMergedUL []spec.MessageName
 }
 
-// Generation exposes the instrumented system's mutation counter so
-// callers holding a Composed (the CEGAR loop, exploration caches) can
-// detect refinement edits without reaching into the System: a cached
-// reachability graph of IMPᵘ is valid exactly while this value is
-// unchanged.
+// Generation exposes the instrumented system's mutation counter, so a
+// caller holding a Composed can detect edits without reaching into the
+// System. Model identity — what exploration caches and snapshots key
+// on — is System.Fingerprint, not this counter.
 func (c *Composed) Generation() uint64 {
 	if c == nil || c.System == nil {
 		return 0

@@ -1,9 +1,14 @@
 // The shared-frontier engine: property checks discharged on a cached
 // StateGraph. Invariant and NeverFires become single ordered passes over
 // the interned graph; Response reuses the interned states and edges for
-// its pending-product lasso search. The cache is keyed by system
-// identity plus ts.System.Generation(), so a CEGAR refinement (which
-// mutates the system) invalidates exactly the graphs it must.
+// its pending-product lasso search. The cache is keyed by the model's
+// structural fingerprint (ts.System.Fingerprint) and the state budget,
+// so every system with the same structure — the composed model and
+// each of its clones, or two properties' identically refined models —
+// shares one exploration, and any edit to a system moves it to another
+// key. A cached graph builds its traces from the system that was
+// explored first; callers must therefore never edit a system once it
+// has been checked (CEGAR refines a fresh clone each time).
 package mc
 
 import (
@@ -19,30 +24,38 @@ import (
 )
 
 // DefaultEngine backs the package-level Check/CheckAll entry points. A
-// process-wide cache is safe: entries are keyed by system pointer and
-// generation, bounded by engineCacheEntries, and concurrent builds of
-// the same graph are collapsed into one.
+// process-wide cache is safe: entries are keyed by model fingerprint and
+// state budget, bounded by engineCacheEntries, and concurrent builds of
+// the same graph are collapsed into one. A hit therefore means a model
+// that was already explored or is being explored — the unrefined
+// composed model, or a refined model another property reached first.
 var DefaultEngine = NewEngine()
 
 // engineCacheEntries bounds the graph cache; the oldest entry is evicted
-// beyond it. A CEGAR catalogue run keeps one graph per live refinement
-// clone, which stays far below this.
+// beyond it. A CEGAR catalogue run keeps one graph per distinct refined
+// model (7 on srsLTE), which stays far below this.
 const engineCacheEntries = 32
+
+// graphKey identifies one exploration: the model and the state budget
+// it was explored under (a truncated graph must not answer a check
+// with a larger budget).
+type graphKey struct {
+	model     ts.Fingerprint
+	maxStates int
+}
 
 // graphEntry is one cache slot; ready is closed when the build finishes.
 type graphEntry struct {
-	gen       uint64
-	maxStates int
-	ready     chan struct{}
-	graph     *StateGraph
-	err       error
+	ready chan struct{}
+	graph *StateGraph
+	err   error
 }
 
 // Engine checks properties against cached shared-exploration graphs.
 type Engine struct {
 	mu        sync.Mutex
-	cache     map[*ts.System]*graphEntry
-	order     []*ts.System // insertion order for eviction
+	cache     map[graphKey]*graphEntry
+	order     []graphKey // insertion order for eviction
 	hits      int
 	builds    int
 	evictions int
@@ -52,7 +65,7 @@ type Engine struct {
 // should use the package-level functions (and thus DefaultEngine);
 // benchmarks build fresh engines to time cold explorations.
 func NewEngine() *Engine {
-	return &Engine{cache: make(map[*ts.System]*graphEntry)}
+	return &Engine{cache: make(map[graphKey]*graphEntry)}
 }
 
 // CacheStats reports cache hits (a check served by an already-built or
@@ -72,37 +85,41 @@ func (e *Engine) CacheCounters() (hits, misses, evictions int) {
 	return e.hits, e.builds, e.evictions
 }
 
-// graphFor returns the cached graph for the system's current generation,
-// building it (once, even under concurrent callers) when missing.
-func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*StateGraph, error) {
-	gen := sys.Generation()
-	maxStates := opts.maxStates()
+// graphFor returns the cached graph for the system's model, building it
+// (once, even under concurrent callers) when missing; shared reports
+// whether the graph came from the cache. A waiter whose shared build was
+// cancelled under another caller's context builds the graph itself.
+func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*StateGraph, bool, error) {
+	key := graphKey{model: sys.Fingerprint(), maxStates: opts.maxStates()}
 	reg := obs.FromContext(ctx).Metrics()
-
-	e.mu.Lock()
-	ent := e.cache[sys]
-	if ent != nil && ent.gen == gen && ent.maxStates == maxStates {
+	for {
+		e.mu.Lock()
+		ent := e.cache[key]
+		if ent == nil {
+			break // still locked: this caller builds
+		}
 		e.hits++
 		e.mu.Unlock()
 		reg.Counter("mc.graph_cache_hits").Inc()
 		select {
 		case <-ent.ready:
 		case <-ctx.Done():
-			return nil, fmt.Errorf("mc: waiting for shared exploration: %w", resilience.ErrCancelled)
+			return nil, true, fmt.Errorf("mc: waiting for shared exploration: %w", resilience.ErrCancelled)
 		}
-		return ent.graph, ent.err
-	}
-	ent = &graphEntry{gen: gen, maxStates: maxStates, ready: make(chan struct{})}
-	if _, replacing := e.cache[sys]; !replacing {
-		e.order = append(e.order, sys)
-		if len(e.order) > engineCacheEntries {
-			delete(e.cache, e.order[0])
-			e.order = e.order[1:]
-			e.evictions++
-			reg.Counter("mc.graph_cache_evictions").Inc()
+		if resilience.Cancelled(ent.err) && ctx.Err() == nil {
+			continue
 		}
+		return ent.graph, true, ent.err
 	}
-	e.cache[sys] = ent
+	ent := &graphEntry{ready: make(chan struct{})}
+	e.cache[key] = ent
+	e.order = append(e.order, key)
+	if len(e.order) > engineCacheEntries {
+		delete(e.cache, e.order[0])
+		e.order = e.order[1:]
+		e.evictions++
+		reg.Counter("mc.graph_cache_evictions").Inc()
+	}
 	e.builds++
 	e.mu.Unlock()
 	reg.Counter("mc.graph_cache_misses").Inc()
@@ -112,10 +129,10 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*S
 		// Do not poison the cache: a cancelled or failed build must not
 		// answer later calls that arrive with a live context.
 		e.mu.Lock()
-		if e.cache[sys] == ent {
-			delete(e.cache, sys)
-			for i, s := range e.order {
-				if s == sys {
+		if e.cache[key] == ent {
+			delete(e.cache, key)
+			for i, k := range e.order {
+				if k == key {
 					e.order = append(e.order[:i], e.order[i+1:]...)
 					break
 				}
@@ -124,7 +141,7 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*S
 		e.mu.Unlock()
 	}
 	close(ent.ready)
-	return ent.graph, ent.err
+	return ent.graph, false, ent.err
 }
 
 // CheckContext verifies one property on the shared graph. Exploration
@@ -132,6 +149,14 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*S
 // error wrapping resilience.ErrBudgetExhausted; cancellation returns an
 // error wrapping resilience.ErrCancelled.
 func (e *Engine) CheckContext(ctx context.Context, sys *ts.System, prop Property, opts Options) (Result, error) {
+	res, _, err := e.CheckShared(ctx, sys, prop, opts)
+	return res, err
+}
+
+// CheckShared is CheckContext that also reports whether the check was
+// answered from a graph already built or being built (shared) instead
+// of running the exploration itself.
+func (e *Engine) CheckShared(ctx context.Context, sys *ts.System, prop Property, opts Options) (Result, bool, error) {
 	res := Result{Property: prop.Name(), Kind: prop.kind()}
 	if reg := obs.FromContext(ctx).Metrics(); reg != nil {
 		start := time.Now()
@@ -140,14 +165,14 @@ func (e *Engine) CheckContext(ctx context.Context, sys *ts.System, prop Property
 			reg.Counter("mc.checks").Inc()
 		}()
 	}
-	g, err := e.graphFor(ctx, sys, opts)
+	g, shared, err := e.graphFor(ctx, sys, opts)
 	if err != nil {
 		if resilience.Cancelled(err) {
-			return res, err
+			return res, shared, err
 		}
 		// Rule compilation failed: same unverified result the sequential
 		// checker reports, with the cause attached instead of swallowed.
-		return res, fmt.Errorf("mc: checking %s: %w", prop.Name(), err)
+		return res, shared, fmt.Errorf("mc: checking %s: %w", prop.Name(), err)
 	}
 	switch p := prop.(type) {
 	case Invariant:
@@ -157,18 +182,18 @@ func (e *Engine) CheckContext(ctx context.Context, sys *ts.System, prop Property
 	case Response:
 		res, err = g.checkResponse(p, opts)
 	default:
-		return res, nil
+		return res, shared, nil
 	}
 	if err != nil {
 		// A spilled-segment read failed mid-check; surface the I/O error
 		// rather than an unfounded verdict.
-		return res, fmt.Errorf("mc: checking %s: %w", prop.Name(), err)
+		return res, shared, fmt.Errorf("mc: checking %s: %w", prop.Name(), err)
 	}
 	if res.Truncated {
-		return res, fmt.Errorf("mc: checking %s: exploration truncated at %d states (budget %d): %w",
+		return res, shared, fmt.Errorf("mc: checking %s: exploration truncated at %d states (budget %d): %w",
 			prop.Name(), res.StatesExplored, opts.maxStates(), resilience.ErrBudgetExhausted)
 	}
-	return res, nil
+	return res, shared, nil
 }
 
 // CheckAll verifies the properties concurrently, results in order.

@@ -208,7 +208,7 @@ func (o Options) snapshotEvery() int {
 }
 
 // Check verifies one property on the system using the shared-frontier
-// engine: the reachability graph is explored once per system generation
+// engine: the reachability graph is explored once per model fingerprint
 // and cached, so repeated checks (the CEGAR loop, a catalogue run)
 // discharge on the cached graph instead of re-exploring. Results are
 // byte-identical to CheckSequential's, including counterexample traces.
@@ -223,6 +223,13 @@ func Check(sys *ts.System, prop Property, opts Options) Result {
 // of a silent incomplete verdict.
 func CheckContext(ctx context.Context, sys *ts.System, prop Property, opts Options) (Result, error) {
 	return DefaultEngine.CheckContext(ctx, sys, prop, opts)
+}
+
+// CheckShared is CheckContext that also reports whether DefaultEngine
+// answered from a graph already built or being built (shared) instead
+// of running the exploration itself.
+func CheckShared(ctx context.Context, sys *ts.System, prop Property, opts Options) (Result, bool, error) {
+	return DefaultEngine.CheckShared(ctx, sys, prop, opts)
 }
 
 // CheckSequential verifies one property with the original per-property

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"prochecker/internal/core/props"
@@ -265,4 +266,90 @@ func TestEngineCacheReuseAndInvalidation(t *testing.T) {
 	if _, builds := engine.CacheStats(); builds != 2 {
 		t.Fatalf("stale graph served after RemoveRule: builds=%d, want 2", builds)
 	}
+}
+
+// TestEngineSharesEqualModels: the cache keys on the model, not on the
+// *ts.System — a clone and an independently composed twin are answered
+// from the first system's graph, while an edited clone is a new model.
+func TestEngineSharesEqualModels(t *testing.T) {
+	sys := composedSystem(t)
+	engine := mc.NewEngine()
+	p := mc.NeverFires{PropName: "q", Match: func(string) bool { return false }}
+	check := func(s *ts.System) (mc.Result, bool) {
+		t.Helper()
+		res, shared, err := engine.CheckShared(context.Background(), s, p, mc.Options{})
+		if err != nil {
+			t.Fatalf("CheckShared: %v", err)
+		}
+		return res, shared
+	}
+	first, shared := check(sys)
+	if shared {
+		t.Fatal("first check of a model reported a shared graph")
+	}
+	for _, twin := range []*ts.System{sys.Clone(), composedSystem(t)} {
+		res, shared := check(twin)
+		if !shared {
+			t.Error("a structurally equal system was explored again")
+		}
+		assertSameResult(t, "twin", res, first)
+	}
+	edited := sys.Clone()
+	if !edited.RemoveRule(edited.Rules()[0].Name) {
+		t.Fatal("RemoveRule failed")
+	}
+	if _, shared := check(edited); shared {
+		t.Error("an edited clone was answered from the original's graph")
+	}
+	if hits, builds := engine.CacheStats(); hits != 2 || builds != 2 {
+		t.Errorf("hits=%d builds=%d, want 2/2", hits, builds)
+	}
+}
+
+// TestEngineWaiterSurvivesCancelledBuild: a caller waiting on another
+// caller's in-flight build of the same model must not inherit that
+// caller's cancellation — with its own context live, it gets a verdict.
+func TestEngineWaiterSurvivesCancelledBuild(t *testing.T) {
+	sys := composedSystem(t)
+	engine := mc.NewEngine()
+	p := mc.Invariant{PropName: "explore", Holds: ts.True{}}
+	want := mc.CheckSequential(sys, p, mc.Options{})
+
+	buildCtx, cancelBuild := context.WithCancel(context.Background())
+	defer cancelBuild()
+	builderDone := make(chan struct{})
+	go func() {
+		defer close(builderDone)
+		engine.CheckContext(buildCtx, sys, p, mc.Options{}) //nolint:errcheck // cancelled on purpose
+	}()
+	waitFor := func(cond func(hits, builds int) bool) {
+		for !cond(engine.CacheStats()) {
+			select {
+			case <-builderDone:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+	waitFor(func(_, builds int) bool { return builds >= 1 })
+
+	type outcome struct {
+		res mc.Result
+		err error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		res, err := engine.CheckContext(context.Background(), sys.Clone(), p, mc.Options{})
+		waiter <- outcome{res, err}
+	}()
+	waitFor(func(hits, _ int) bool { return hits >= 1 })
+	cancelBuild()
+
+	got := <-waiter
+	if got.err != nil {
+		t.Fatalf("waiter with a live context failed: %v", got.err)
+	}
+	assertSameResult(t, "waiter", got.res, want)
+	<-builderDone
 }

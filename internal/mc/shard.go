@@ -52,6 +52,7 @@ type levelExplorer struct {
 	g     *StateGraph
 	opts  Options
 	rules []ts.CompiledRule
+	model ts.Fingerprint // names and validates snapshots
 
 	shards []*stateIndex
 	mask   uint64 // shard selector over the low hash bits
@@ -73,14 +74,16 @@ type levelExplorer struct {
 // buildGraph explores the system with the sharded level-synchronised
 // worker pool and returns the interned reachability graph.
 //
-// Observability: each build is one "mc.explore" span; the registry's
+// Observability: each build is one "mc.explore" span carrying the
+// model's short fingerprint as its "model" attribute; the registry's
 // mc.* instruments are resolved once up front (all nil-safe no-ops when
 // no observer rides the context). Frontier width and visited-set size
 // are per-shard labelled instruments; spill and peak-residency numbers
 // are global.
 func buildGraph(ctx context.Context, sys *ts.System, opts Options) (graph *StateGraph, err error) {
 	reg := obs.FromContext(ctx).Metrics()
-	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name))
+	model := sys.Fingerprint()
+	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name), obs.A("model", model.Short()))
 	buildStart := time.Now()
 	defer func() {
 		if graph != nil {
@@ -111,6 +114,7 @@ func buildGraph(ctx context.Context, sys *ts.System, opts Options) (graph *State
 		},
 		opts:   opts,
 		rules:  rules,
+		model:  model,
 		shards: make([]*stateIndex, nShards),
 		mask:   uint64(nShards - 1),
 		reg:    reg,

@@ -3,10 +3,13 @@
 // CRC-checksummed binary file, written with the same temp-write + fsync
 // + rename idiom as the job WAL, so a killed exploration resumes from
 // its last completed level instead of recomputing. Files are named
-// snap-<fingerprint>-<level>.ckpt — the fingerprint is a SHA-256 of the
-// system's SMV rendering, so one snapshot directory safely serves many
+// snap-<fingerprint>-<level>.ckpt — the fingerprint is the system's
+// structural identity (ts.System.Fingerprint, the same key the engine's
+// graph cache uses), so one snapshot directory safely serves many
 // systems (every CEGAR refinement is its own fingerprint) and a
-// snapshot never resumes the wrong model. A snapshot with an empty
+// snapshot never resumes the wrong model. The fingerprint deliberately
+// excludes tuning like MaxStates, so a truncated run's snapshots resume
+// under a bigger budget. A snapshot with an empty
 // frontier marks a completed exploration, which resumes for free.
 //
 // Layout (all integers little-endian, CRC32/IEEE over everything before
@@ -23,9 +26,7 @@ package mc
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -42,18 +43,10 @@ const (
 	snapshotVersion = 1
 )
 
-// systemFingerprint hashes the system's structure (variables, domains,
-// rules — its SMV rendering), deliberately excluding tuning like
-// MaxStates so a truncated run's snapshots resume under a bigger
-// budget.
-func systemFingerprint(sys *ts.System) [32]byte {
-	return sha256.Sum256([]byte(sys.SMV()))
-}
-
 // snapshotPrefix names the per-system snapshot family inside a shared
 // directory.
-func snapshotPrefix(fp [32]byte) string {
-	return "snap-" + hex.EncodeToString(fp[:6]) + "-"
+func snapshotPrefix(fp ts.Fingerprint) string {
+	return "snap-" + fp.Short() + "-"
 }
 
 // snapWriter streams the payload while folding it into the CRC.
@@ -90,7 +83,7 @@ func (e *levelExplorer) writeSnapshot() (err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mc: creating snapshot dir: %w", err)
 	}
-	fp := systemFingerprint(g.Sys)
+	fp := e.model
 	final := filepath.Join(dir, fmt.Sprintf("%s%08d.ckpt", snapshotPrefix(fp), e.level))
 
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
@@ -222,7 +215,7 @@ func (e *levelExplorer) tryResume() (int, bool, error) {
 		}
 		return 0, false, fmt.Errorf("mc: reading snapshot dir: %w", err)
 	}
-	fp := systemFingerprint(e.g.Sys)
+	fp := e.model
 	prefix := snapshotPrefix(fp)
 	var names []string
 	for _, ent := range entries {
@@ -242,7 +235,7 @@ func (e *levelExplorer) tryResume() (int, bool, error) {
 
 // loadSnapshot restores one checkpoint file; any validation failure
 // (checksum, version, fingerprint, structural bounds) rejects the file.
-func (e *levelExplorer) loadSnapshot(path string, fp [32]byte) (int, bool) {
+func (e *levelExplorer) loadSnapshot(path string, fp ts.Fingerprint) (int, bool) {
 	raw, err := os.ReadFile(path)
 	if err != nil || len(raw) < 4 {
 		return 0, false

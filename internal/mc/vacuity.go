@@ -19,7 +19,7 @@ import (
 
 // StaticReach runs the dataflow layer's abstract reachability fixpoint
 // over the system: the set of rules that can statically fire. The
-// result is valid for the system's current generation.
+// result is valid for the system's current fingerprint.
 func StaticReach(sys *ts.System) *dataflow.RuleReach {
 	return dataflow.FireableRules(sys)
 }

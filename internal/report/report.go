@@ -28,6 +28,7 @@ import (
 	"prochecker/internal/obs"
 	"prochecker/internal/resilience"
 	"prochecker/internal/spec"
+	"prochecker/internal/ts"
 	"prochecker/internal/ue"
 )
 
@@ -192,6 +193,12 @@ type Verdict struct {
 	// vacuity pre-pass: its trigger matches no statically-fireable rule,
 	// so it verified without exploration (States stays zero).
 	Vacuous bool
+	// Refinements lists the CEGAR refinements a model-checked verdict
+	// took, in the order the loop applied them.
+	Refinements []cegar.Refinement
+	// Attack is the realizable counterexample of a detected
+	// model-checked attack (nil otherwise).
+	Attack *mc.Trace
 }
 
 // Evaluator runs properties against a built model, caching outcomes.
@@ -205,10 +212,10 @@ type Evaluator struct {
 	mu       sync.Mutex
 	cache    map[string]Verdict
 	inflight map[string]*evalCall
-	// reach caches the static reachability fixpoint per system
-	// generation for the vacuity pre-check.
-	reach    *dataflow.RuleReach
-	reachGen uint64
+	// reach caches the static reachability fixpoint per model
+	// fingerprint for the vacuity pre-check.
+	reach      *dataflow.RuleReach
+	reachModel ts.Fingerprint
 }
 
 // evalCall is one in-flight property evaluation; done is closed when the
@@ -309,7 +316,7 @@ func (e *Evaluator) evaluate(ctx context.Context, p props.Property) (_ Verdict, 
 			ms := obs.DurMS(time.Since(start))
 			reg.Counter("report.properties_checked").Inc()
 			reg.Histogram("report.property_check_ms", nil).Observe(ms)
-			reg.Gauge("report.check_ms." + p.ID).Set(int64(ms))
+			reg.Gauge(obs.LabeledStr("report.check_ms", "property", p.ID)).Set(int64(ms))
 		}
 	}()
 	var v Verdict
@@ -335,6 +342,8 @@ func (e *Evaluator) evaluate(ctx context.Context, p props.Property) (_ Verdict, 
 		v.Detected = out.Attack != nil
 		v.States = out.StatesExplored
 		v.Iterations = out.Iterations
+		v.Refinements = out.Refinements
+		v.Attack = out.Attack
 		switch {
 		case out.Attack != nil:
 			v.Detail = fmt.Sprintf("attack in %d step(s) after %d iteration(s)", len(out.Attack.Steps), out.Iterations)
@@ -371,18 +380,18 @@ func (e *Evaluator) evaluate(ctx context.Context, p props.Property) (_ Verdict, 
 
 // vacuityCheck runs the static vacuity pre-pass for a model-checked
 // property on the composed base system, caching the abstract
-// reachability fixpoint per system generation. Disabled by the
+// reachability fixpoint per model fingerprint. Disabled by the
 // MC.NoVacuityPrune escape hatch.
 func (e *Evaluator) vacuityCheck(p props.Property) (bool, string) {
 	if e.cfg.MC.NoVacuityPrune {
 		return false, ""
 	}
 	sys := e.model.Composed.System
-	gen := sys.Generation()
+	model := sys.Fingerprint()
 	e.mu.Lock()
-	if e.reach == nil || e.reachGen != gen {
+	if e.reach == nil || e.reachModel != model {
 		e.reach = mc.StaticReach(sys)
-		e.reachGen = gen
+		e.reachModel = model
 	}
 	reach := e.reach
 	e.mu.Unlock()

@@ -9,10 +9,14 @@
 package ts
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Var is a finite-domain variable.
@@ -173,17 +177,98 @@ type System struct {
 	valIdx   []map[string]uint8
 	initVals map[string]string
 	rules    []Rule
-	// gen counts structural mutations (variables, initial values, rules).
-	// Exploration caches key on it: a cached reachability graph is valid
-	// exactly while the generation it was built against is current.
+	// gen counts structural mutations (variables, initial values, rules);
+	// the memoized fingerprint is valid exactly while its generation is
+	// current.
 	gen uint64
+	fp  atomic.Pointer[fingerprintMemo]
+}
+
+// fingerprintMemo is a computed Fingerprint and the generation it
+// describes.
+type fingerprintMemo struct {
+	gen uint64
+	sum Fingerprint
 }
 
 // Generation reports the system's mutation counter. Every structural
 // edit — AddVar, SetInit, AddRule, RemoveRule, MapRules — bumps it, so
-// callers caching derived artifacts (compiled rules, reachability
-// graphs) can detect staleness without diffing the system.
+// callers caching derived artifacts can detect staleness without
+// diffing the system.
 func (sys *System) Generation() uint64 { return sys.gen }
+
+// Fingerprint is a system's structural identity: a SHA-256 over its
+// name, variables and domains, initial values and rules (guards,
+// assignments and tags). Two systems with equal fingerprints explore to
+// the same graph and yield the same counterexample traces, whichever of
+// them is explored.
+type Fingerprint [32]byte
+
+// Short renders the first six bytes as 12 hex digits, the form span
+// attributes and snapshot file names carry.
+func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
+
+// Fingerprint returns the system's structural identity, computed at
+// most once per generation. It is safe to call concurrently with other
+// reads of the system, not with mutations.
+func (sys *System) Fingerprint() Fingerprint {
+	if m := sys.fp.Load(); m != nil && m.gen == sys.gen {
+		return m.sum
+	}
+	var b fpBuf
+	b.str(sys.Name)
+	b.int(len(sys.vars))
+	for _, v := range sys.vars {
+		b.str(v.Name)
+		b.int(len(v.Domain))
+		for _, d := range v.Domain {
+			b.str(d)
+		}
+		init, ok := sys.initVals[v.Name]
+		if !ok {
+			init = v.Domain[0]
+		}
+		b.str(init)
+	}
+	b.int(len(sys.rules))
+	for _, r := range sys.rules {
+		b.str(r.Name)
+		guard := True{}.SMV()
+		if r.Guard != nil {
+			guard = r.Guard.SMV()
+		}
+		b.str(guard)
+		b.int(len(r.Assigns))
+		for _, a := range r.Assigns {
+			b.str(a.Var)
+			b.str(a.Value)
+		}
+		keys := make([]string, 0, len(r.Tags))
+		for k := range r.Tags {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		b.int(len(keys))
+		for _, k := range keys {
+			b.str(k)
+			b.str(r.Tags[k])
+		}
+	}
+	m := &fingerprintMemo{gen: sys.gen, sum: sha256.Sum256(b)}
+	sys.fp.Store(m)
+	return m.sum
+}
+
+// fpBuf is the fingerprint's hash input: length-prefixed fields, so no
+// two distinct field sequences share an encoding.
+type fpBuf []byte
+
+func (b *fpBuf) int(n int) { *b = binary.AppendUvarint(*b, uint64(n)) }
+
+func (b *fpBuf) str(s string) {
+	b.int(len(s))
+	*b = append(*b, s...)
+}
 
 // NewSystem creates an empty system.
 func NewSystem(name string) *System {
@@ -528,9 +613,12 @@ func (sys *System) Assignments(s State) map[string]string {
 
 // Clone deep-copies the system so CEGAR refinements (rule pruning, guard
 // strengthening, even new monitor variables) cannot affect the original.
+// The clone inherits the original's generation and memoized
+// fingerprint: until it is edited it is the same model.
 func (sys *System) Clone() *System {
 	out := &System{
 		Name:     sys.Name,
+		gen:      sys.gen,
 		vars:     make([]Var, len(sys.vars)),
 		varIdx:   make(map[string]int, len(sys.varIdx)),
 		valIdx:   make([]map[string]uint8, len(sys.valIdx)),
@@ -552,6 +640,7 @@ func (sys *System) Clone() *System {
 		out.initVals[k] = v
 	}
 	copy(out.rules, sys.rules)
+	out.fp.Store(sys.fp.Load())
 	return out
 }
 

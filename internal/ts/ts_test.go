@@ -278,3 +278,78 @@ func TestGenerationBumpsOnStructuralEdits(t *testing.T) {
 		t.Error("editing the clone disturbed the original's generation")
 	}
 }
+
+// TestFingerprintIdentity pins the structural identity the exploration
+// cache and snapshots key on: a clone is the same model, every
+// mutation kind makes a different one, and rule tags count.
+func TestFingerprintIdentity(t *testing.T) {
+	base := buildToy(t)
+	fp := base.Fingerprint()
+	if got := base.Clone().Fingerprint(); got != fp {
+		t.Fatal("a clone's fingerprint differs from its original's")
+	}
+	if got := buildToy(t).Fingerprint(); got != fp {
+		t.Fatal("two identically built systems have different fingerprints")
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(*System) error
+	}{
+		{"AddVar", func(s *System) error { return s.AddVar("horn", "off", "on") }},
+		{"SetInit", func(s *System) error { return s.SetInit("light", "green") }},
+		{"AddRule", func(s *System) error {
+			return s.AddRule(Rule{Name: "stall", Guard: Eq{"cars", "moving"}, Assigns: []Assign{{"cars", "stopped"}}})
+		}},
+		{"RemoveRule", func(s *System) error {
+			if !s.RemoveRule("go") {
+				t.Fatal("RemoveRule failed")
+			}
+			return nil
+		}},
+		{"MapRules", func(s *System) error {
+			s.MapRules(func(r Rule) Rule {
+				if r.Name == "go" {
+					r.Guard = Eq{"light", "green"}
+				}
+				return r
+			})
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := base.Clone()
+			if err := tc.mutate(sys); err != nil {
+				t.Fatal(err)
+			}
+			if sys.Fingerprint() == fp {
+				t.Errorf("%s left the fingerprint unchanged", tc.name)
+			}
+			if base.Fingerprint() != fp {
+				t.Errorf("%s on a clone changed the original's fingerprint", tc.name)
+			}
+		})
+	}
+
+	// Same structure, different tags: the traces differ (steps carry
+	// tags), so the models must too.
+	tagged := func(actor string) *System {
+		sys := NewSystem("tags")
+		if err := sys.AddVar("x", "a", "b"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.AddRule(Rule{Name: "r", Assigns: []Assign{{"x", "b"}}, Tags: map[string]string{"actor": actor}}); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	if tagged("ue").Fingerprint() == tagged("adv").Fingerprint() {
+		t.Error("systems differing only in a rule tag share a fingerprint")
+	}
+	if tagged("ue").Fingerprint() != tagged("ue").Fingerprint() {
+		t.Error("identically tagged systems have different fingerprints")
+	}
+	if s := fp.Short(); len(s) != 12 {
+		t.Errorf("Short() = %q, want 12 hex digits", s)
+	}
+}
