@@ -30,6 +30,7 @@ import (
 	"prochecker/internal/mc"
 	"prochecker/internal/obs"
 	"prochecker/internal/report"
+	"prochecker/internal/resilience"
 	"prochecker/internal/spec"
 	"prochecker/internal/sqn"
 	"prochecker/internal/testbed"
@@ -671,10 +672,11 @@ func BenchmarkCheckAllVacuityPruned(b *testing.B) {
 }
 
 // BenchmarkCEGARVerifyAll times the full MC ⇄ CPV loop over the same
-// property set, where properties with identical (unrefined or equally
-// refined) models share one cached exploration. Each iteration starts
-// from an empty default engine, so it pays for every distinct model's
-// exploration instead of reading the previous iteration's graphs.
+// property set on the catalogue runner, where properties with identical
+// (unrefined or equally refined) models share one cached exploration.
+// Each iteration starts from an empty default engine, so it pays for
+// every distinct model's exploration instead of reading the previous
+// iteration's graphs.
 func BenchmarkCEGARVerifyAll(b *testing.B) {
 	m := benchModel(b, ue.ProfileConformant)
 	list := catalogueMCProperties(b)
@@ -683,12 +685,17 @@ func BenchmarkCEGARVerifyAll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mc.DefaultEngine = mc.NewEngine()
-		outs, err := cegar.VerifyAllContext(context.Background(), m.Composed, list, cfg)
+		items, err := resilience.RunCatalogue(context.Background(), len(list), 0, func(ctx context.Context, i int) error {
+			_, err := cegar.VerifyContext(ctx, m.Composed, list[i], cfg)
+			return err
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(outs) != len(list) {
-			b.Fatalf("completed %d of %d", len(outs), len(list))
+		for _, it := range items {
+			if it.Err != nil {
+				b.Fatal(it.Err)
+			}
 		}
 	}
 }

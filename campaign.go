@@ -13,6 +13,7 @@ import (
 	"prochecker/internal/dist"
 	"prochecker/internal/jobs"
 	"prochecker/internal/obs"
+	"prochecker/internal/resilience"
 )
 
 // The job subsystem's data types, re-exported for the service API:
@@ -78,7 +79,7 @@ func NormalizeJobSpec(s JobSpec) (JobSpec, error) {
 	s.Properties = jobs.SortProperties(s.Properties)
 	for _, id := range s.Properties {
 		if _, ok := props.ByID(id); !ok {
-			return s, fmt.Errorf("prochecker: unknown property %q in job spec", id)
+			return s, fmt.Errorf("prochecker: unknown property %q in job spec: %w", id, resilience.ErrUsage)
 		}
 	}
 	s.Catalogue = CatalogueVersion()

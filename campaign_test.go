@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"prochecker/internal/jobs"
+	"prochecker/internal/resilience"
 )
 
 func TestParseImplementationCaseInsensitive(t *testing.T) {
@@ -253,5 +254,39 @@ func TestServiceDedupWithRealRunner(t *testing.T) {
 	}
 	if string(fb) != string(sb) {
 		t.Fatal("cached result differs from fresh result")
+	}
+}
+
+// TestUnknownPropertyJobFailsFastAsUsage: a job naming a property the
+// catalogue lacks (here reaching the real runner because the service
+// has no Normalize hook) fails on its first attempt with the usage
+// class, even under a retry policy.
+func TestUnknownPropertyJobFailsFastAsUsage(t *testing.T) {
+	svc, err := jobs.New(jobs.Config{
+		Runner:  JobRunner(1),
+		Workers: 1,
+		Retry:   jobs.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond, MaxBackoff: time.Millisecond, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	j, err := svc.Submit(JobSpec{Impl: "OAI", Properties: []string{"V999"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil := time.Now().Add(30 * time.Second)
+	for !j.Terminal() {
+		if time.Now().After(waitUntil) {
+			t.Fatal("job never finished")
+		}
+		time.Sleep(2 * time.Millisecond)
+		j, _ = svc.Get(j.ID)
+	}
+	if j.State != jobs.StateFailed || j.Attempts != 1 {
+		t.Fatalf("state=%s attempts=%d (error %q), want failed after 1 attempt", j.State, j.Attempts, j.Error)
+	}
+	if j.Class != resilience.KindUsage.String() || j.ExitCode != resilience.ExitUsage {
+		t.Errorf("class=%q exit=%d, want usage/%d", j.Class, j.ExitCode, resilience.ExitUsage)
 	}
 }

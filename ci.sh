@@ -35,6 +35,12 @@ fi
 echo "== go test -race =="
 go test -race -count=1 -shuffle=on ./...
 
+echo "== fuzz (on-disk decoders) =="
+# go test -fuzz takes one package and one target per invocation.
+go test -run '^$' -fuzz '^FuzzLoadSnapshot$' -fuzztime 10s ./internal/mc
+go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/jobs
+go test -run '^$' -fuzz '^FuzzReadFlight$' -fuzztime 10s ./internal/jobs
+
 echo "== model-lint gate =="
 # Every shipped profile must lint clean at ERROR severity on a benign
 # extraction; the CLI exits 6 (model-lint) otherwise.

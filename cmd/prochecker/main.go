@@ -133,47 +133,50 @@ func run(args []string) (err error) {
 	concurrency := fs.Int("concurrency", 1, "with -worker, parallel jobs pulled at once")
 	workerID := fs.String("worker-id", "", "with -worker, stable worker identity in leases/metrics (default host-pid)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError(err.Error())
 	}
 	// -workers 0 is the pure-coordinator form of -serve: no local pool,
 	// every job executed by remote fleet workers.
 	if *workers < 1 && !(*workers == 0 && *serveAddr != "") {
-		return fmt.Errorf("-workers must be >= 1, got %d", *workers)
+		return usageError(fmt.Sprintf("-workers must be >= 1, got %d", *workers))
 	}
 	if *quiet && *verbose {
-		return errors.New("-quiet and -v are mutually exclusive")
+		return usageError("-quiet and -v are mutually exclusive")
 	}
 	if *serveWait && *metricsAddr == "" {
-		return errors.New("-serve-wait requires -metrics-addr")
+		return usageError("-serve-wait requires -metrics-addr")
 	}
 	if *serveAddr != "" && (*serverURL != "" || *submit || *campaignList != "") {
-		return errors.New("-serve is a server mode; it excludes -server/-submit/-campaign")
+		return usageError("-serve is a server mode; it excludes -server/-submit/-campaign")
 	}
 	if (*submit || *campaignList != "") && *serverURL == "" {
-		return errors.New("-submit/-campaign require -server URL")
+		return usageError("-submit/-campaign require -server URL")
 	}
 	if *workerMode {
 		if *serverURL == "" {
-			return errors.New("-worker requires -server URL")
+			return usageError("-worker requires -server URL")
 		}
 		if *serveAddr != "" || *submit || *campaignList != "" {
-			return errors.New("-worker excludes -serve/-submit/-campaign")
+			return usageError("-worker excludes -serve/-submit/-campaign")
 		}
 		if *concurrency < 1 {
-			return fmt.Errorf("-concurrency must be >= 1, got %d", *concurrency)
+			return usageError(fmt.Sprintf("-concurrency must be >= 1, got %d", *concurrency))
 		}
 	}
 	if *submit && *campaignList != "" {
-		return errors.New("-submit and -campaign are mutually exclusive")
+		return usageError("-submit and -campaign are mutually exclusive")
 	}
 	if *wait && !*submit && *campaignList == "" {
-		return errors.New("-wait requires -submit or -campaign")
+		return usageError("-wait requires -submit or -campaign")
 	}
 	if *follow && !*submit && *campaignList == "" {
-		return errors.New("-follow requires -submit or -campaign")
+		return usageError("-follow requires -submit or -campaign")
 	}
 	if *follow && *wait {
-		return errors.New("-follow and -wait are mutually exclusive (follow already ends at the terminal state)")
+		return usageError("-follow and -wait are mutually exclusive (follow already ends at the terminal state)")
 	}
 	if *replayFlight != "" {
 		return runReplayFlight(*replayFlight)
@@ -371,7 +374,7 @@ func run(args []string) (err error) {
 		fmt.Printf("  attack succeeded:   %v\n", res.Succeeded())
 		return nil
 	default:
-		return fmt.Errorf("unknown -validate %q (want p1 or p3)", *validate)
+		return usageError(fmt.Sprintf("unknown -validate %q (want p1 or p3)", *validate))
 	}
 
 	if !*dot && !*smv && !*logOut && !*coverage && !*lintMode && *check == "" {
@@ -530,9 +533,15 @@ func parseLintGate(s string) (lint.Severity, bool, error) {
 	}
 	sev, err := lint.ParseSeverity(s)
 	if err != nil {
-		return 0, false, fmt.Errorf("-lint-gate: %w", err)
+		return 0, false, fmt.Errorf("-lint-gate: %w: %w", err, resilience.ErrUsage)
 	}
 	return sev, true, nil
+}
+
+// usageError marks a malformed command line: exit code 9, failure
+// class usage.
+func usageError(msg string) error {
+	return fmt.Errorf("%s: %w", msg, resilience.ErrUsage)
 }
 
 // manifestLint converts a lint report into the manifest's plain-data

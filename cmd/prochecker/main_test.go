@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -359,5 +360,35 @@ func TestLintManifest(t *testing.T) {
 	}
 	if m.Config["lint_gate"] != "error" {
 		t.Errorf("config lint_gate = %q, want error", m.Config["lint_gate"])
+	}
+}
+
+// TestCLIUsageErrorsExit9: a command line naming an unknown profile,
+// property or flag, or carrying a malformed fault spec, is the caller's
+// mistake — the process exits 9 with failure class usage, not the
+// internal-fault code 1.
+func TestCLIUsageErrorsExit9(t *testing.T) {
+	bin, err := buildBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-impl", "srs"},
+		{"-check", "V999"},
+		{"-dot", "-faults", "drop=abc"},
+		{"-bogus"},
+	} {
+		cmd := exec.Command(bin, args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != resilience.ExitUsage {
+			t.Errorf("%v: exit %v, want %d\n%s", args, err, resilience.ExitUsage, stderr.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), "failure class: usage") {
+			t.Errorf("%v: stderr lacks the usage class:\n%s", args, stderr.String())
+		}
 	}
 }

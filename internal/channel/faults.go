@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"prochecker/internal/nas"
+	"prochecker/internal/resilience"
 )
 
 // FaultCounter is implemented by adversaries that can report how many
@@ -390,7 +391,8 @@ func (c FaultConfig) AdversaryFactory() func(caseIndex int) Adversary {
 // ParseFaultSpec parses the CLI fault syntax: comma-separated
 // key=probability pairs, e.g. "drop=0.05,corrupt=0.02,dup=0.01,
 // reorder=0.1". Keys: drop, corrupt, dup (or duplicate), reorder (or
-// delay). The seed is supplied separately.
+// delay). The seed is supplied separately. A malformed spec is a usage
+// error (resilience.ErrUsage).
 func ParseFaultSpec(spec string, seed int64) (FaultConfig, error) {
 	cfg := FaultConfig{Seed: seed}
 	if strings.TrimSpace(spec) == "" {
@@ -399,14 +401,14 @@ func ParseFaultSpec(spec string, seed int64) (FaultConfig, error) {
 	for _, part := range strings.Split(spec, ",") {
 		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
 		if len(kv) != 2 {
-			return cfg, fmt.Errorf("channel: fault spec %q: want key=prob, got %q", spec, part)
+			return cfg, fmt.Errorf("channel: fault spec %q: want key=prob, got %q: %w", spec, part, resilience.ErrUsage)
 		}
 		p, err := strconv.ParseFloat(kv[1], 64)
 		if err != nil {
-			return cfg, fmt.Errorf("channel: fault spec %q: bad probability %q: %v", spec, kv[1], err)
+			return cfg, fmt.Errorf("channel: fault spec %q: bad probability %q: %v: %w", spec, kv[1], err, resilience.ErrUsage)
 		}
 		if p < 0 || p > 1 {
-			return cfg, fmt.Errorf("channel: fault spec %q: probability %g outside [0,1]", spec, p)
+			return cfg, fmt.Errorf("channel: fault spec %q: probability %g outside [0,1]: %w", spec, p, resilience.ErrUsage)
 		}
 		switch key := strings.ToLower(kv[0]); key {
 		case "drop":
@@ -418,8 +420,8 @@ func ParseFaultSpec(spec string, seed int64) (FaultConfig, error) {
 		case "reorder", "delay":
 			cfg.Reorder = p
 		default:
-			return cfg, fmt.Errorf("channel: fault spec %q: unknown fault %q (want %s)",
-				spec, key, strings.Join(faultKeys(), "|"))
+			return cfg, fmt.Errorf("channel: fault spec %q: unknown fault %q (want %s): %w",
+				spec, key, strings.Join(faultKeys(), "|"), resilience.ErrUsage)
 		}
 	}
 	return cfg, nil

@@ -1,6 +1,7 @@
 package cegar
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -220,19 +221,20 @@ func TestFreshnessLimitClosesP1(t *testing.T) {
 	}
 }
 
-// TestVerifyAllOrdering exercises the batch API.
+// TestVerifyAllOrdering: a batch on the catalogue runner keeps its
+// outcomes in property order.
 func TestVerifyAllOrdering(t *testing.T) {
 	c := composed(t, false)
 	props := []mc.Property{
 		mc.NeverFires{PropName: "a", Match: func(string) bool { return false }},
 		mc.NeverFires{PropName: "b", Match: func(string) bool { return false }},
 	}
-	outs, err := VerifyAll(c, props, Config{})
-	if err != nil {
-		t.Fatalf("VerifyAll: %v", err)
+	outs, items, stopped := verifyAll(context.Background(), c, props, Config{}, 0)
+	if err := itemErr(items, stopped); err != nil {
+		t.Fatalf("batch: %v", err)
 	}
-	if len(outs) != 2 || outs[0].Property != "a" || outs[1].Property != "b" {
-		t.Errorf("VerifyAll = %+v", outs)
+	if outs[0].Property != "a" || outs[1].Property != "b" {
+		t.Errorf("batch outcomes = %+v", outs)
 	}
 }
 

@@ -50,27 +50,30 @@ func TestVerifyContextAlreadyCancelled(t *testing.T) {
 	}
 }
 
+// TestVerifyAllContextCollectsAndStops: the catalogue runner over
+// VerifyContext completes a live batch, and a cancelled one returns
+// promptly with nothing run and the typed error.
 func TestVerifyAllContextCollectsAndStops(t *testing.T) {
 	composed := composedForTest(t)
 	prop := firstMCProperty(t)
 
-	// Live context: the property verifies and VerifyAll succeeds.
-	outs, err := VerifyAllContext(context.Background(), composed, []mc.Property{prop}, Config{})
-	if err != nil {
-		t.Fatalf("VerifyAllContext: %v", err)
+	outs, items, stopped := verifyAll(context.Background(), composed, []mc.Property{prop}, Config{}, 0)
+	if err := itemErr(items, stopped); err != nil {
+		t.Fatalf("live batch: %v", err)
 	}
-	if len(outs) != 1 {
-		t.Fatalf("got %d outcomes, want 1", len(outs))
+	if !items[0].Done || !outs[0].Verified {
+		t.Fatalf("live batch: item %+v outcome %+v, want one verified", items[0], outs[0])
 	}
 
-	// Cancelled context: prompt return, no outcomes, typed error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outs, err = VerifyAllContext(ctx, composed, []mc.Property{prop, prop}, Config{})
-	if !errors.Is(err, resilience.ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
+	_, items, stopped = verifyAll(ctx, composed, []mc.Property{prop, prop}, Config{}, 0)
+	if !errors.Is(stopped, resilience.ErrCancelled) {
+		t.Fatalf("want ErrCancelled, got %v", stopped)
 	}
-	if len(outs) != 0 {
-		t.Errorf("cancelled catalogue produced %d outcomes", len(outs))
+	for i, it := range items {
+		if it.Done {
+			t.Errorf("cancelled catalogue ran property %d", i)
+		}
 	}
 }

@@ -6,9 +6,33 @@ import (
 	"reflect"
 	"testing"
 
+	"prochecker/internal/core/threat"
 	"prochecker/internal/mc"
 	"prochecker/internal/resilience"
 )
+
+// verifyAll runs VerifyContext for every property on the catalogue
+// runner, returning outcomes indexed like props, the runner's items and
+// its catalogue-stopped error.
+func verifyAll(ctx context.Context, c *threat.Composed, props []mc.Property, cfg Config, workers int) ([]Outcome, []resilience.Item, error) {
+	outs := make([]Outcome, len(props))
+	items, stopped := resilience.RunCatalogue(ctx, len(props), workers, func(ctx context.Context, i int) error {
+		var err error
+		outs[i], err = VerifyContext(ctx, c, props[i], cfg)
+		return err
+	})
+	return outs, items, stopped
+}
+
+// itemErr returns the first per-item error, or the runner's own.
+func itemErr(items []resilience.Item, stopped error) error {
+	for _, it := range items {
+		if it.Err != nil {
+			return it.Err
+		}
+	}
+	return stopped
+}
 
 // catalogueLikeProps builds a small mixed batch: a property that needs a
 // refinement, one that verifies outright, and one with an attack.
@@ -29,18 +53,19 @@ func catalogueLikeProps() []mc.Property {
 	}
 }
 
-// TestVerifyAllParallelMatchesSequential: the batch under a worker pool
-// returns the same outcomes, in the same order, as the sequential walk.
+// TestVerifyAllParallelMatchesSequential: the batch on a four-worker
+// catalogue runner returns the same outcomes, in the same order, as a
+// one-worker walk.
 func TestVerifyAllParallelMatchesSequential(t *testing.T) {
 	c := composed(t, false)
 	props := catalogueLikeProps()
-	seq, err := VerifyAllContext(context.Background(), c, props, Config{PreCapture: true, Workers: 1})
-	if err != nil {
-		t.Fatalf("sequential VerifyAllContext: %v", err)
+	seq, items, stopped := verifyAll(context.Background(), c, props, Config{PreCapture: true}, 1)
+	if err := itemErr(items, stopped); err != nil {
+		t.Fatalf("sequential batch: %v", err)
 	}
-	par, err := VerifyAllContext(context.Background(), c, props, Config{PreCapture: true, Workers: 4})
-	if err != nil {
-		t.Fatalf("parallel VerifyAllContext: %v", err)
+	par, items, stopped := verifyAll(context.Background(), c, props, Config{PreCapture: true}, 4)
+	if err := itemErr(items, stopped); err != nil {
+		t.Fatalf("parallel batch: %v", err)
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel outcomes diverge:\n  sequential %+v\n  parallel   %+v", seq, par)
@@ -91,18 +116,6 @@ func TestVerifyContextBudgetExhausted(t *testing.T) {
 	}
 	if !out.Unknown {
 		t.Errorf("budget-exhausted outcome not marked Unknown: %+v", out)
-	}
-
-	// The batch API keeps the inconclusive outcome and surfaces the error.
-	outs, err := VerifyAllContext(context.Background(), c, []mc.Property{prop}, Config{
-		PreCapture: true,
-		MC:         mc.Options{MaxStates: 3},
-	})
-	if !errors.Is(err, resilience.ErrBudgetExhausted) {
-		t.Fatalf("batch: want ErrBudgetExhausted, got %v", err)
-	}
-	if len(outs) != 1 || !outs[0].Unknown {
-		t.Errorf("batch outcomes = %+v, want one Unknown", outs)
 	}
 	if resilience.ExitCode(err) != resilience.ExitBudgetExhausted {
 		t.Errorf("exit code %d, want %d", resilience.ExitCode(err), resilience.ExitBudgetExhausted)

@@ -90,9 +90,9 @@ func TestSharedRefinedModelTraces(t *testing.T) {
 
 	// Concurrently on one engine, for the race detector.
 	useEngine(t, mc.NewEngine())
-	outs, err := VerifyAllContext(context.Background(), c, list, Config{PreCapture: true, Workers: 2})
-	if err != nil {
-		t.Fatalf("VerifyAllContext: %v", err)
+	outs, items, stopped := verifyAll(context.Background(), c, list, cfg, 2)
+	if err := itemErr(items, stopped); err != nil {
+		t.Fatalf("concurrent batch: %v", err)
 	}
 	for i, p := range list {
 		sameOutcome(t, "concurrent "+p.Name(), outs[i], want[i])

@@ -23,6 +23,7 @@ type fakeCoord struct {
 	acquireErrs int   // errors to return before the first grant
 	renewErr    error // returned by every RenewLease when set
 
+	handed    int // grants handed out so far
 	renews    int
 	completes []completeCall
 	fails     []failCall
@@ -56,6 +57,7 @@ func (c *fakeCoord) AcquireLease(ctx context.Context, worker string) (*Grant, er
 	}
 	g := c.grants[0]
 	c.grants = c.grants[1:]
+	c.handed++
 	return g, nil
 }
 
@@ -87,7 +89,7 @@ func (c *fakeCoord) FailLease(ctx context.Context, leaseID, class, msg string) e
 }
 
 func (c *fakeCoord) settleLocked() {
-	if len(c.grants) == 0 {
+	if len(c.grants) == 0 && len(c.completes)+len(c.fails) == c.handed {
 		select {
 		case <-c.settled:
 		default:
@@ -282,6 +284,7 @@ func TestWorkerConcurrencyDrainsInParallel(t *testing.T) {
 	c := newFakeCoord(grants...)
 	var mu sync.Mutex
 	inflight, peak := 0, 0
+	released := false
 	gate := make(chan struct{})
 	w := &Worker{
 		Coordinator: c,
@@ -291,7 +294,8 @@ func TestWorkerConcurrencyDrainsInParallel(t *testing.T) {
 			if inflight > peak {
 				peak = inflight
 			}
-			if inflight == 2 { // both slots busy at once: release everyone
+			if inflight == 2 && !released { // both slots busy at once: release everyone
+				released = true // a later pair of jobs may reach 2 again
 				close(gate)
 			}
 			mu.Unlock()

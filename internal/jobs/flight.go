@@ -190,17 +190,14 @@ func ReadFlight(path string) ([]obs.BusEvent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobs: reading flight: %w", err)
 	}
-	lines := bytes.Split(data, []byte("\n"))
-	// Trailing newline yields one empty trailing element.
-	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
-		lines = lines[:n-1]
-	}
-	if len(lines) == 0 {
+	if len(data) == 0 {
 		return nil, fmt.Errorf("jobs: flight %s: empty recording", path)
 	}
+	// Every line, the footer included, ends in a newline.
+	lines := bytes.Split(data[:len(data)-1], []byte("\n"))
 	var footer flightFooter
 	last := lines[len(lines)-1]
-	if json.Unmarshal(last, &footer) != nil || footer.Type != flightFooterType {
+	if data[len(data)-1] != '\n' || json.Unmarshal(last, &footer) != nil || footer.Type != flightFooterType {
 		return nil, fmt.Errorf("jobs: flight %s: missing footer (truncated recording)", path)
 	}
 	body := data[:len(data)-len(last)-1]

@@ -13,7 +13,7 @@ import (
 
 // waitForSealed polls until the recorder has sealed n flights (the
 // recorder goroutine consumes the bus asynchronously).
-func waitForSealed(t *testing.T, reg *obs.Registry, n int64) {
+func waitForSealed(t testing.TB, reg *obs.Registry, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

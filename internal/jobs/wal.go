@@ -226,18 +226,15 @@ func encodeRecord(rec Record) ([]byte, error) {
 	return line, nil
 }
 
-// decodeRecord parses one line back, verifying its checksum.
+// decodeRecord parses one line back, verifying its checksum; it accepts
+// only the checksum text encodeRecord writes.
 func decodeRecord(line []byte) (Record, bool) {
 	if len(line) < 11 || line[len(line)-1] != '\n' || line[8] != ' ' {
 		return Record{}, false
 	}
-	sum, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return Record{}, false
-	}
 	payload := line[9 : len(line)-1]
-	if crc32.ChecksumIEEE(payload) != uint32(sum) {
-		return Record{}, false
+	if string(line[:8]) != fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload)) {
+		return Record{}, false // bad checksum, or not the encoder's lowercase hex
 	}
 	var rec Record
 	if json.Unmarshal(payload, &rec) != nil {

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"prochecker/internal/dataflow"
 	"prochecker/internal/obs"
 	"prochecker/internal/resilience"
 	"prochecker/internal/ts"
@@ -59,13 +60,47 @@ type Engine struct {
 	hits      int
 	builds    int
 	evictions int
+	// reach memoizes the vacuity pre-pass's static reachability per
+	// model, cleared wholesale once it holds engineCacheEntries models.
+	reach map[ts.Fingerprint]*dataflow.RuleReach
 }
 
 // NewEngine returns an engine with an empty graph cache. Most callers
 // should use the package-level functions (and thus DefaultEngine);
 // benchmarks build fresh engines to time cold explorations.
 func NewEngine() *Engine {
-	return &Engine{cache: make(map[graphKey]*graphEntry)}
+	return &Engine{
+		cache: make(map[graphKey]*graphEntry),
+		reach: make(map[ts.Fingerprint]*dataflow.RuleReach),
+	}
+}
+
+// Vacuous is the static vacuity pre-pass: it reports whether prop holds
+// vacuously on sys — its trigger matches no statically-fireable rule —
+// with the static witness to record in place of a trace. The abstract
+// reachability fixpoint is computed once per model fingerprint, the
+// identity the graph cache uses. Options.NoVacuityPrune turns the
+// pre-pass off: nothing is vacuous.
+func (e *Engine) Vacuous(sys *ts.System, prop Property, opts Options) (bool, string) {
+	if opts.NoVacuityPrune {
+		return false, ""
+	}
+	model := sys.Fingerprint()
+	e.mu.Lock()
+	reach := e.reach[model]
+	e.mu.Unlock()
+	if reach == nil {
+		// Computed outside the lock: the fixpoint is deterministic, so a
+		// concurrent duplicate is wasted work, never a wrong answer.
+		reach = StaticReach(sys)
+		e.mu.Lock()
+		if len(e.reach) >= engineCacheEntries {
+			clear(e.reach)
+		}
+		e.reach[model] = reach
+		e.mu.Unlock()
+	}
+	return Vacuous(reach, sys, prop)
 }
 
 // CacheStats reports cache hits (a check served by an already-built or
@@ -202,86 +237,34 @@ func (e *Engine) CheckAll(sys *ts.System, props []Property, opts Options) []Resu
 	return out
 }
 
-// CheckAllContext fans the property list out over a bounded worker pool
-// sharing one exploration. The result slice is indexed 1:1 with props —
-// ordering is deterministic regardless of worker interleaving — and the
-// aggregated error collects per-property budget exhaustion plus a single
-// cancellation entry when the walk was cut short.
+// CheckAllContext fans the property list out over the catalogue runner
+// (Options.Workers bounds it), sharing one exploration and discharging
+// statically vacuous properties through Vacuous without exploring. The
+// result slice is indexed 1:1 with props — ordering is deterministic
+// regardless of worker interleaving — and the aggregated error collects
+// per-property budget exhaustion plus a single cancellation entry when
+// the walk was cut short.
 func (e *Engine) CheckAllContext(ctx context.Context, sys *ts.System, props []Property, opts Options) ([]Result, error) {
 	out := make([]Result, len(props))
-	perErr := make([]error, len(props))
-
-	// Static vacuity pre-pass: properties whose trigger matches no
-	// statically-fireable rule are discharged without exploration. The
-	// fixpoint is linear in rules × rounds, negligible next to any
-	// single exploration.
-	pruned := make([]bool, len(props))
-	if !opts.NoVacuityPrune && len(props) > 0 && ctx.Err() == nil {
-		reach := StaticReach(sys)
-		reg := obs.FromContext(ctx).Metrics()
-		for i, p := range props {
-			if v, witness := Vacuous(reach, sys, p); v {
-				out[i] = vacuousResult(p, witness)
-				pruned[i] = true
-				reg.Counter("mc.vacuity_pruned").Inc()
-			}
+	reg := obs.FromContext(ctx).Metrics()
+	items, stopped := resilience.RunCatalogue(ctx, len(props), opts.Workers, func(ctx context.Context, i int) error {
+		if v, witness := e.Vacuous(sys, props[i], opts); v {
+			out[i] = vacuousResult(props[i], witness)
+			reg.Counter("mc.vacuity_pruned").Inc()
+			return nil
 		}
-	}
-
-	workers := opts.workers()
-	if workers > len(props) {
-		workers = len(props)
-	}
-
-	if workers <= 1 {
-		for i, p := range props {
-			if pruned[i] {
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			out[i], perErr[i] = e.CheckContext(ctx, sys, p, opts)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					out[i], perErr[i] = e.CheckContext(ctx, sys, props[i], opts)
-				}
-			}()
-		}
-		for i := range props {
-			if pruned[i] {
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
+		var err error
+		out[i], err = e.CheckContext(ctx, sys, props[i], opts)
+		return err
+	})
 	var errs resilience.Collector
-	completed := 0
-	for i := range props {
-		switch {
-		case perErr[i] == nil && out[i].Property != "":
-			completed++
-		case perErr[i] != nil && !resilience.Cancelled(perErr[i]):
-			completed++ // truncated results still carry a (partial) verdict
-			errs.Add(perErr[i])
+	for _, it := range items {
+		if it.Err != nil && !resilience.Cancelled(it.Err) {
+			errs.Add(it.Err) // truncated results still carry a (partial) verdict
 		}
 	}
-	if ctx.Err() != nil {
-		errs.Add(fmt.Errorf("mc: catalogue stopped after %d of %d properties: %w",
-			completed, len(props), resilience.ErrCancelled))
+	if stopped != nil {
+		errs.Add(fmt.Errorf("mc: %w", stopped))
 	}
 	return out, errs.Err()
 }

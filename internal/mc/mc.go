@@ -139,7 +139,8 @@ type Result struct {
 type Options struct {
 	MaxStates int
 	// Workers bounds the exploration worker pool and the property-level
-	// parallelism of CheckAll; 0 means runtime.GOMAXPROCS(0).
+	// parallelism of every catalogue run these options drive (CheckAll,
+	// the report evaluator's catalogue); 0 means runtime.GOMAXPROCS(0).
 	Workers int
 
 	// Shards partitions the visited set and frontier across hash-owned

@@ -225,19 +225,25 @@ func (e *levelExplorer) tryResume() (int, bool, error) {
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(names))) // zero-padded level: newest first
 	for _, name := range names {
-		lvl, ok := e.loadSnapshot(filepath.Join(dir, name), fp)
-		if ok {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			continue
+		}
+		if lvl, ok := e.loadSnapshot(raw, fp); ok {
 			return lvl, true, nil
 		}
 	}
 	return 0, false, nil
 }
 
-// loadSnapshot restores one checkpoint file; any validation failure
-// (checksum, version, fingerprint, structural bounds) rejects the file.
-func (e *levelExplorer) loadSnapshot(path string, fp ts.Fingerprint) (int, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil || len(raw) < 4 {
+// loadSnapshot restores one checkpoint file's bytes; any validation
+// failure (checksum, version, fingerprint, structural bounds, a state
+// value outside its variable's domain or stored twice, a parent that is
+// not an earlier state) rejects the file. Every count read from the
+// file is bounded by the payload it must fit in, or by the model's rule
+// count, before anything is allocated for it.
+func (e *levelExplorer) loadSnapshot(raw []byte, fp ts.Fingerprint) (int, bool) {
+	if len(raw) < 4 {
 		return 0, false
 	}
 	payload, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
@@ -264,12 +270,22 @@ func (e *levelExplorer) loadSnapshot(path string, fp ts.Fingerprint) (int, bool)
 	if r.err != nil {
 		return 0, false
 	}
+	vars := g.Sys.Vars()
+	for i, v := range states {
+		if int(v) >= len(vars[i%stride].Domain) {
+			return 0, false
+		}
+	}
 
 	parentState := make([]int32, n)
 	parentRule := make([]int32, n)
 	for id := 0; id < n; id++ {
-		parentState[id] = r.i32()
-		parentRule[id] = r.i32()
+		ps, pr := r.i32(), r.i32()
+		if id == 0 && (ps != -1 || pr != -1) ||
+			id > 0 && (ps < 0 || int(ps) >= id || pr < 0 || int(pr) >= nRules) {
+			return 0, false
+		}
+		parentState[id], parentRule[id] = ps, pr
 	}
 	adj := make([][]graphEdge, n)
 	for id := 0; id < n && r.err == nil; id++ {
@@ -290,8 +306,12 @@ func (e *levelExplorer) loadSnapshot(path string, fp ts.Fingerprint) (int, bool)
 		}
 		adj[id] = edges
 	}
-	frontier := make([]int32, int(r.u32()))
-	fOwners := make([]uint8, len(frontier))
+	count := int(r.u32())
+	if r.err != nil || count > n || count > (len(r.b)-r.off)/4 {
+		return 0, false
+	}
+	frontier := make([]int32, count)
+	fOwners := make([]uint8, count)
 	for i := range frontier {
 		id := r.i32()
 		if id < 0 || int(id) >= n {
@@ -332,7 +352,12 @@ func (e *levelExplorer) loadSnapshot(path string, fp ts.Fingerprint) (int, bool)
 			return 0, false
 		}
 		x := e.shards[owners[id]]
-		_, pos, _ := x.probe(hashes[id], func(int32) (bool, error) { return false, nil })
+		dup, pos, _ := x.probe(hashes[id], func(v int32) (bool, error) {
+			return bytesEqual(states[int(v-1)*stride:int(v)*stride], s), nil
+		})
+		if dup != 0 {
+			return 0, false // a state stored twice would split its id
+		}
 		x.set(pos, int32(id)+1)
 	}
 	for i, id := range frontier {

@@ -9,7 +9,6 @@ package report
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -21,14 +20,12 @@ import (
 	"prochecker/internal/core/fsmodel"
 	"prochecker/internal/core/props"
 	"prochecker/internal/core/threat"
-	"prochecker/internal/dataflow"
 	"prochecker/internal/lint"
 	"prochecker/internal/ltemodels"
 	"prochecker/internal/mc"
 	"prochecker/internal/obs"
 	"prochecker/internal/resilience"
 	"prochecker/internal/spec"
-	"prochecker/internal/ts"
 	"prochecker/internal/ue"
 )
 
@@ -212,10 +209,6 @@ type Evaluator struct {
 	mu       sync.Mutex
 	cache    map[string]Verdict
 	inflight map[string]*evalCall
-	// reach caches the static reachability fixpoint per model
-	// fingerprint for the vacuity pre-check.
-	reach      *dataflow.RuleReach
-	reachModel ts.Fingerprint
 }
 
 // evalCall is one in-flight property evaluation; done is closed when the
@@ -237,31 +230,14 @@ func NewEvaluator(m *Model) *Evaluator {
 	}
 }
 
-// SetWorkers bounds the evaluator's property-level parallelism and the
-// model checker's exploration pool (0 restores the GOMAXPROCS default).
-// Call it before evaluations start; it is not synchronised with them.
-func (e *Evaluator) SetWorkers(n int) {
-	e.cfg.Workers = n
-}
-
-// SetMC tunes the model checker's exploration storage: shard count,
-// memory budget and spill directory, snapshot/resume directory. Worker
-// bounds still come from SetWorkers unless opts.Workers is set
-// explicitly. Call it before evaluations start; it is not synchronised
-// with them.
+// SetMC tunes the model checker: opts.Workers bounds both the
+// evaluator's property-level parallelism and the exploration pool (0
+// means GOMAXPROCS); the rest sets exploration storage (shards, memory
+// budget and spill directory, snapshot/resume directory) and the
+// vacuity pre-pass. Call it before evaluations start; it is not
+// synchronised with them.
 func (e *Evaluator) SetMC(opts mc.Options) {
-	workers := e.cfg.MC.Workers
 	e.cfg.MC = opts
-	if e.cfg.MC.Workers == 0 {
-		e.cfg.MC.Workers = workers
-	}
-}
-
-func (e *Evaluator) workers() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Evaluate runs one catalogue property.
@@ -323,7 +299,7 @@ func (e *Evaluator) evaluate(ctx context.Context, p props.Property) (_ Verdict, 
 	v.PropertyID = p.ID
 	switch p.Kind {
 	case props.KindMC:
-		if vac, witness := e.vacuityCheck(p); vac {
+		if vac, witness := mc.DefaultEngine.Vacuous(e.model.Composed.System, p.MC(), e.cfg.MC); vac {
 			v.Verified = true
 			v.Vacuous = true
 			v.Detail = "vacuously holds: " + witness
@@ -378,26 +354,6 @@ func (e *Evaluator) evaluate(ctx context.Context, p props.Property) (_ Verdict, 
 	return v, nil
 }
 
-// vacuityCheck runs the static vacuity pre-pass for a model-checked
-// property on the composed base system, caching the abstract
-// reachability fixpoint per model fingerprint. Disabled by the
-// MC.NoVacuityPrune escape hatch.
-func (e *Evaluator) vacuityCheck(p props.Property) (bool, string) {
-	if e.cfg.MC.NoVacuityPrune {
-		return false, ""
-	}
-	sys := e.model.Composed.System
-	model := sys.Fingerprint()
-	e.mu.Lock()
-	if e.reach == nil || e.reachModel != model {
-		e.reach = mc.StaticReach(sys)
-		e.reachModel = model
-	}
-	reach := e.reach
-	e.mu.Unlock()
-	return mc.Vacuous(reach, sys, p.MC())
-}
-
 // verdictWord collapses a verdict to the manifest vocabulary.
 func verdictWord(v Verdict) string {
 	switch {
@@ -412,56 +368,36 @@ func verdictWord(v Verdict) string {
 	}
 }
 
-// EvaluateAllContext evaluates the properties over a bounded worker pool
-// (SetWorkers, default GOMAXPROCS), returning verdicts in list order.
-// The first evaluation error (in list order) is returned, matching a
-// sequential walk; cancellation surfaces as resilience.ErrCancelled.
+// EvaluateAllContext evaluates the properties on the catalogue runner
+// (the SetMC worker bound, default GOMAXPROCS) with graceful
+// degradation: a property whose evaluation errors does not stop the
+// others, and the completed verdicts come back in list order alongside
+// the collected error — a resilience.ErrorList when several failed, and
+// a single catalogue-stopped entry wrapping resilience.ErrCancelled
+// when ctx ended the run.
 func (e *Evaluator) EvaluateAllContext(ctx context.Context, list []props.Property) ([]Verdict, error) {
 	verdicts := make([]Verdict, len(list))
-	errs := make([]error, len(list))
-	workers := e.workers()
-	if workers > len(list) {
-		workers = len(list)
-	}
-
-	if workers <= 1 {
-		for i, p := range list {
-			if ctx.Err() != nil {
-				break
-			}
-			verdicts[i], errs[i] = e.EvaluateContext(ctx, p)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					verdicts[i], errs[i] = e.EvaluateContext(ctx, list[i])
-				}
-			}()
-		}
-		for i := range list {
-			if ctx.Err() != nil {
-				break
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	items, stopped := resilience.RunCatalogue(ctx, len(list), e.cfg.MC.Workers, func(ctx context.Context, i int) error {
+		var err error
+		verdicts[i], err = e.EvaluateContext(ctx, list[i])
+		return err
+	})
+	var out []Verdict
+	var errs resilience.Collector
+	for i, it := range items {
+		switch {
+		case !it.Done || resilience.Cancelled(it.Err):
+			// Accounted for by the single catalogue-stopped entry below.
+		case it.Err == nil:
+			out = append(out, verdicts[i])
+		default:
+			errs.Add(it.Err)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("report: catalogue stopped: %w", resilience.ErrCancelled)
+	if stopped != nil {
+		errs.Add(fmt.Errorf("report: %w", stopped))
 	}
-	return verdicts, nil
+	return out, errs.Err()
 }
 
 // AttackInfo is one Table I row's metadata.
@@ -520,50 +456,38 @@ type AttackRow struct {
 // realizable counterexample. The per-profile pipelines are independent
 // and run concurrently.
 func TableI(profiles []ue.Profile) ([]AttackRow, error) {
-	type profileResult struct {
-		detections map[string]Detection // attack ID -> cell
-		err        error
-	}
-	results := make([]profileResult, len(profiles))
-	var wg sync.WaitGroup
-	for i, profile := range profiles {
-		wg.Add(1)
-		go func(i int, profile ue.Profile) {
-			defer wg.Done()
-			m, err := BuildModel(profile)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			eval := NewEvaluator(m)
-			detections := make(map[string]Detection)
-			for _, info := range TableIAttacks() {
-				for _, prop := range props.Detecting(info.ID) {
-					v, err := eval.Evaluate(prop)
-					if err != nil {
-						results[i].err = err
-						return
-					}
-					if v.Detected {
-						detections[info.ID] = Detection{Detected: true, Via: prop.ID}
-						break
-					}
+	detections := make([]map[string]Detection, len(profiles)) // attack ID -> cell
+	items, _ := resilience.RunCatalogue(context.Background(), len(profiles), len(profiles), func(_ context.Context, i int) error {
+		m, err := BuildModel(profiles[i])
+		if err != nil {
+			return err
+		}
+		eval := NewEvaluator(m)
+		detections[i] = make(map[string]Detection)
+		for _, info := range TableIAttacks() {
+			for _, prop := range props.Detecting(info.ID) {
+				v, err := eval.Evaluate(prop)
+				if err != nil {
+					return err
+				}
+				if v.Detected {
+					detections[i][info.ID] = Detection{Detected: true, Via: prop.ID}
+					break
 				}
 			}
-			results[i].detections = detections
-		}(i, profile)
-	}
-	wg.Wait()
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
+		}
+		return nil
+	})
+	for _, it := range items {
+		if it.Err != nil {
+			return nil, it.Err
 		}
 	}
 	var rows []AttackRow
 	for _, info := range TableIAttacks() {
 		row := AttackRow{AttackInfo: info, PerProfile: make(map[ue.Profile]Detection, len(profiles))}
 		for i, profile := range profiles {
-			row.PerProfile[profile] = results[i].detections[info.ID]
+			row.PerProfile[profile] = detections[i][info.ID]
 		}
 		rows = append(rows, row)
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -222,5 +223,28 @@ func TestRenderDeviationsSurfacesQuirks(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("deviation report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestEvaluateAllContextKeepsCompletedVerdicts: a failing property does
+// not cost the others their verdicts — the completed ones come back in
+// list order alongside the collected error.
+func TestEvaluateAllContextKeepsCompletedVerdicts(t *testing.T) {
+	var knowledge []props.Property
+	for _, p := range props.Catalogue() {
+		if p.Kind == props.KindKnowledge {
+			knowledge = append(knowledge, p)
+		}
+	}
+	if len(knowledge) < 2 {
+		t.Fatalf("catalogue has %d knowledge properties, want at least 2", len(knowledge))
+	}
+	list := []props.Property{knowledge[0], {ID: "X01", Kind: "bogus"}, knowledge[1]}
+	verdicts, err := evaluator(t, ue.ProfileConformant).EvaluateAllContext(context.Background(), list)
+	if err == nil || !strings.Contains(err.Error(), "X01") {
+		t.Fatalf("error %v does not report the failing property", err)
+	}
+	if len(verdicts) != 2 || verdicts[0].PropertyID != knowledge[0].ID || verdicts[1].PropertyID != knowledge[1].ID {
+		t.Fatalf("verdicts %+v, want %s and %s in list order", verdicts, knowledge[0].ID, knowledge[1].ID)
 	}
 }

@@ -5,7 +5,7 @@
 // result plus an aggregate of what failed), and the process exit codes
 // the CLI derives from a run's worst failure.
 //
-// The taxonomy distinguishes seven non-fatal endings from a genuine
+// The taxonomy distinguishes eight non-fatal endings from a genuine
 // internal fault:
 //
 //   - Cancelled: the caller's context was cancelled or its deadline
@@ -25,13 +25,21 @@
 //   - LeaseExpired: a distributed worker holding a job lease stopped
 //     heartbeating (crash, partition); the work was not wrong, the
 //     worker vanished, so the job is requeued for another worker.
+//   - Usage: the caller asked for something that does not exist (an
+//     unknown implementation, property or flag, a malformed fault spec);
+//     nothing ran, and running again with the same input cannot help.
+//
+// RunCatalogue is the one bounded, order-preserving fan-out every
+// catalogue-level caller (properties, profiles) runs on.
 package resilience
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 )
 
 // Sentinel errors of the failure taxonomy. Wrap them with %w so
@@ -62,6 +70,11 @@ var (
 	// partitioned away mid-attempt. The failure says nothing about the
 	// job itself, so it is the canonical retryable class.
 	ErrLeaseExpired = errors.New("worker lease expired")
+	// ErrUsage marks a request naming something that does not exist or
+	// cannot be parsed — an unknown implementation, property ID or flag,
+	// a malformed fault spec. It is the caller's mistake, not the
+	// pipeline's, and retrying the same input repeats it.
+	ErrUsage = errors.New("invalid usage")
 )
 
 // Kind buckets a failure for reporting and exit-code selection.
@@ -79,6 +92,7 @@ const (
 	KindModelLint                   // model-lint gate tripped
 	KindRetryExhausted              // retry policy spent on a transient class
 	KindLeaseExpired                // distributed worker lease ran out mid-attempt
+	KindUsage                       // unknown input or malformed request
 	KindInternal                    // genuine pipeline fault
 )
 
@@ -101,6 +115,8 @@ func (k Kind) String() string {
 		return "retry-exhausted"
 	case KindLeaseExpired:
 		return "lease-expired"
+	case KindUsage:
+		return "usage"
 	case KindInternal:
 		return "internal"
 	default:
@@ -141,6 +157,8 @@ func classifyOne(err error) Kind {
 		return KindRetryExhausted
 	case errors.Is(err, ErrLeaseExpired):
 		return KindLeaseExpired
+	case errors.Is(err, ErrUsage):
+		return KindUsage
 	default:
 		return KindInternal
 	}
@@ -150,8 +168,8 @@ func classifyOne(err error) Kind {
 // attempt: adversarial channel faults and isolated case panics are
 // transient under a reseeded or differently-scheduled run, and an
 // expired worker lease says the worker died, not that the job is bad —
-// while cancellation, budget exhaustion, lint gates and genuine
-// internal faults are deterministic — retrying them burns attempts on
+// while cancellation, budget exhaustion, lint gates, usage errors and
+// genuine internal faults are deterministic — retrying them burns attempts on
 // the same answer. Retry policies consult this instead of hard-coding
 // classes.
 func (k Kind) Retryable() bool {
@@ -191,6 +209,7 @@ const (
 	ExitModelLint       = 6
 	ExitRetryExhausted  = 7
 	ExitLeaseExpired    = 8
+	ExitUsage           = 9
 )
 
 // ExitCode selects the process exit code for a run that ended with err.
@@ -215,6 +234,8 @@ func (k Kind) ExitCode() int {
 		return ExitRetryExhausted
 	case KindLeaseExpired:
 		return ExitLeaseExpired
+	case KindUsage:
+		return ExitUsage
 	case KindInternal:
 		return ExitInternal
 	default:
@@ -260,6 +281,8 @@ func (k Kind) Sentinel() error {
 		return ErrRetryExhausted
 	case KindLeaseExpired:
 		return ErrLeaseExpired
+	case KindUsage:
+		return ErrUsage
 	case KindInternal:
 		return errInternal
 	default:
@@ -325,3 +348,56 @@ func (c *Collector) Err() error {
 // Cancelled reports whether err (or any member of an aggregate)
 // classifies as a cancellation.
 func Cancelled(err error) bool { return Classify(err) == KindCancelled }
+
+// Item is one catalogue entry's ending under RunCatalogue: Done is set
+// once fn ran for it, Err is what fn returned.
+type Item struct {
+	Done bool
+	Err  error
+}
+
+// RunCatalogue runs fn(ctx, i) for every i in [0, n) on a bounded pool
+// of worker goroutines (workers <= 0 means GOMAXPROCS; never more than
+// n), dispatching indices in order and stopping dispatch once ctx is
+// done. Items are indexed 1:1 with the catalogue whatever the worker
+// interleaving, and fn owns writing its own result slot i. When ctx
+// ended the run, the returned error is the single "catalogue stopped
+// after k of n" entry wrapping ErrCancelled, where k counts the items
+// that finished without being cancelled; per-item failures stay in the
+// items for the caller to collect.
+func RunCatalogue(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) ([]Item, error) {
+	items := make([]Item, n)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				items[i] = Item{Done: true, Err: fn(ctx, i)}
+			}
+		}()
+	}
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		select {
+		case idx <- i:
+		case <-ctx.Done(): // the loop condition ends dispatch
+		}
+	}
+	close(idx)
+	wg.Wait()
+	if ctx.Err() == nil {
+		return items, nil
+	}
+	finished := 0
+	for _, it := range items {
+		if it.Done && !Cancelled(it.Err) {
+			finished++
+		}
+	}
+	return items, fmt.Errorf("catalogue stopped after %d of %d: %w", finished, n, ErrCancelled)
+}

@@ -22,6 +22,7 @@ func TestClassifySentinels(t *testing.T) {
 		{fmt.Errorf("case x: %w: boom", ErrCasePanic), KindCasePanic},
 		{ErrModelLint, KindModelLint},
 		{fmt.Errorf("gate: %w", ErrModelLint), KindModelLint},
+		{fmt.Errorf("unknown property %q: %w", "V999", ErrUsage), KindUsage},
 		{errors.New("plain failure"), KindInternal},
 	}
 	for _, tc := range cases {
@@ -86,6 +87,7 @@ func TestExitCodes(t *testing.T) {
 		{fmt.Errorf("x: %w", ErrBudgetExhausted), ExitBudgetExhausted},
 		{fmt.Errorf("x: %w", ErrCasePanic), ExitCasePanic},
 		{fmt.Errorf("x: %w", ErrModelLint), ExitModelLint},
+		{fmt.Errorf("x: %w", ErrUsage), ExitUsage},
 		{errors.New("plain"), ExitInternal},
 	}
 	for _, tc := range cases {
@@ -160,5 +162,17 @@ func TestCancelledHelper(t *testing.T) {
 	}
 	if Cancelled(errors.New("other")) {
 		t.Error("plain error recognised as cancellation")
+	}
+}
+
+// TestUsageIsFailFast: a usage error survives a round trip through its
+// serialized class and is never worth another attempt.
+func TestUsageIsFailFast(t *testing.T) {
+	if KindUsage.Retryable() {
+		t.Error("usage errors must not be retried")
+	}
+	k, ok := ParseKind("usage")
+	if !ok || k != KindUsage || !errors.Is(k.Sentinel(), ErrUsage) {
+		t.Errorf("ParseKind(usage) = %s, %v; sentinel %v", k, ok, k.Sentinel())
 	}
 }

@@ -29,9 +29,7 @@ package prochecker
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"prochecker/internal/channel"
@@ -64,8 +62,8 @@ func Implementations() []Implementation {
 
 // ParseImplementation resolves a user-supplied implementation name onto
 // the canonical Implementation, matching case-insensitively ("srslte",
-// "SRSLTE" and "srsLTE" all resolve to SRSLTE). Unknown names error
-// with the valid set listed.
+// "SRSLTE" and "srsLTE" all resolve to SRSLTE). Unknown names are a
+// usage error (resilience.ErrUsage) listing the valid set.
 func ParseImplementation(name string) (Implementation, error) {
 	for _, impl := range Implementations() {
 		if strings.EqualFold(name, string(impl)) {
@@ -76,8 +74,8 @@ func ParseImplementation(name string) (Implementation, error) {
 	for _, impl := range Implementations() {
 		valid = append(valid, string(impl))
 	}
-	return "", fmt.Errorf("prochecker: unknown implementation %q (want one of %s)",
-		name, strings.Join(valid, " | "))
+	return "", fmt.Errorf("prochecker: unknown implementation %q (want one of %s): %w",
+		name, strings.Join(valid, " | "), resilience.ErrUsage)
 }
 
 func (i Implementation) profile() (ue.Profile, error) {
@@ -89,7 +87,7 @@ func (i Implementation) profile() (ue.Profile, error) {
 	case OAI:
 		return ue.ProfileOAI, nil
 	default:
-		return 0, fmt.Errorf("prochecker: unknown implementation %q", i)
+		return 0, fmt.Errorf("prochecker: unknown implementation %q: %w", i, resilience.ErrUsage)
 	}
 }
 
@@ -141,13 +139,12 @@ type PropertyResult struct {
 // Analysis is a built pipeline for one implementation: extracted model,
 // threat composition and cached verdicts.
 type Analysis struct {
-	impl    Implementation
-	model   *report.Model
-	eval    *report.Evaluator
-	workers int
-	mcOpts  mc.Options
-	faults  channel.FaultConfig
-	obsv    *obs.Observer
+	impl   Implementation
+	model  *report.Model
+	eval   *report.Evaluator
+	mcOpts mc.Options
+	faults channel.FaultConfig
+	obsv   *obs.Observer
 }
 
 // Option tunes an Analysis at construction time.
@@ -157,7 +154,7 @@ type Option func(*Analysis)
 // model checker's exploration pool. 0 (the default) means
 // runtime.GOMAXPROCS(0); 1 forces a fully sequential run.
 func WithWorkers(n int) Option {
-	return func(a *Analysis) { a.workers = n }
+	return func(a *Analysis) { a.mcOpts.Workers = n }
 }
 
 // WithShards partitions the model checker's visited set and frontier
@@ -260,16 +257,8 @@ func AnalyzeContext(ctx context.Context, impl Implementation, opts ...Option) (*
 	}
 	a.model = m
 	a.eval = report.NewEvaluator(m)
-	a.eval.SetWorkers(a.workers)
 	a.eval.SetMC(a.mcOpts)
 	return a, nil
-}
-
-func (a *Analysis) workerCount() int {
-	if a.workers > 0 {
-		return a.workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // ErrCancelled marks analyses cut short by context cancellation or
@@ -331,12 +320,17 @@ func (a *Analysis) CheckProperty(id string) (PropertyResult, error) {
 func (a *Analysis) CheckPropertyContext(ctx context.Context, id string) (PropertyResult, error) {
 	p, ok := props.ByID(id)
 	if !ok {
-		return PropertyResult{}, fmt.Errorf("prochecker: unknown property %q", id)
+		return PropertyResult{}, fmt.Errorf("prochecker: unknown property %q: %w", id, resilience.ErrUsage)
 	}
 	v, err := a.eval.EvaluateContext(a.obsContext(ctx), p)
 	if err != nil {
 		return PropertyResult{}, fmt.Errorf("prochecker: %w", err)
 	}
+	return propertyResult(p, v), nil
+}
+
+// propertyResult maps an evaluator verdict onto the public result.
+func propertyResult(p props.Property, v report.Verdict) PropertyResult {
 	return PropertyResult{
 		ID:          p.ID,
 		Class:       string(p.Class),
@@ -346,7 +340,7 @@ func (a *Analysis) CheckPropertyContext(ctx context.Context, id string) (Propert
 		Vacuous:     v.Vacuous,
 		Detail:      v.Detail,
 		Duration:    v.Duration,
-	}, nil
+	}
 }
 
 // CheckAll verifies the complete 62-property catalogue with graceful
@@ -361,75 +355,25 @@ func (a *Analysis) CheckAll() ([]PropertyResult, error) {
 // CheckAllContext is CheckAll with cancellation: the catalogue walk
 // stops promptly once ctx is done, returning the results completed so
 // far together with an error wrapping ErrCancelled. Properties are
-// evaluated over a bounded worker pool (WithWorkers, default
-// GOMAXPROCS); completed results come back in catalogue order, same as
-// a sequential walk.
+// evaluated on the catalogue runner (WithWorkers, default GOMAXPROCS);
+// completed results come back in catalogue order, same as a sequential
+// walk.
 func (a *Analysis) CheckAllContext(ctx context.Context) ([]PropertyResult, error) {
 	catalogue := props.Catalogue()
 	ctx, span := obs.Start(a.obsContext(ctx), "check.catalogue",
 		obs.A("properties", fmt.Sprint(len(catalogue))))
-	type slot struct {
-		res  PropertyResult
-		err  error
-		done bool
-	}
-	slots := make([]slot, len(catalogue))
-	workers := a.workerCount()
-	if workers > len(catalogue) {
-		workers = len(catalogue)
-	}
-
-	if workers <= 1 {
-		for i, p := range catalogue {
-			if ctx.Err() != nil {
-				break
-			}
-			slots[i].res, slots[i].err = a.CheckPropertyContext(ctx, p.ID)
-			slots[i].done = true
+	verdicts, err := a.eval.EvaluateAllContext(ctx, catalogue)
+	out := make([]PropertyResult, 0, len(verdicts))
+	next := 0 // verdicts are an in-order subsequence of the catalogue
+	for _, v := range verdicts {
+		for catalogue[next].ID != v.PropertyID {
+			next++
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					slots[i].res, slots[i].err = a.CheckPropertyContext(ctx, catalogue[i].ID)
-					slots[i].done = true
-				}
-			}()
-		}
-		for i := range catalogue {
-			if ctx.Err() != nil {
-				break
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	var out []PropertyResult
-	var errs resilience.Collector
-	for i := range catalogue {
-		s := slots[i]
-		switch {
-		case !s.done || resilience.Cancelled(s.err):
-			// Accounted for by the single catalogue-stopped entry below.
-		case s.err == nil:
-			out = append(out, s.res)
-		default:
-			errs.Add(s.err)
-		}
-	}
-	if ctx.Err() != nil {
-		errs.Add(fmt.Errorf("prochecker: catalogue stopped after %d of %d properties: %w",
-			len(out), len(catalogue), ErrCancelled))
+		out = append(out, propertyResult(catalogue[next], v))
 	}
 	span.SetAttr("completed", fmt.Sprint(len(out)))
-	span.EndErr(errs.Err())
-	return out, errs.Err()
+	span.EndErr(err)
+	return out, err
 }
 
 // AttackMatrix regenerates Table I for the given implementations (all
