@@ -40,6 +40,7 @@ echo "== fuzz (on-disk decoders) =="
 go test -run '^$' -fuzz '^FuzzLoadSnapshot$' -fuzztime 10s ./internal/mc
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/jobs
 go test -run '^$' -fuzz '^FuzzReadFlight$' -fuzztime 10s ./internal/jobs
+go test -run '^$' -fuzz '^FuzzStoreGet$' -fuzztime 10s ./internal/jobs
 
 echo "== model-lint gate =="
 # Every shipped profile must lint clean at ERROR severity on a benign
@@ -120,7 +121,9 @@ for metric in mc.states_explored mc.graph_cache_misses mc.check_ms \
 done
 grep -q '"tool": "prochecker"' "$smoke_dir/run.json" || { echo "smoke: manifest malformed"; exit 1; }
 # Every exploration names the model it covered (the 12-hex fingerprint
-# the graph cache keys on); "model" sorts first among the span's attrs.
+# the graph cache keys on); "model" sorts first among the span's attrs,
+# after "derived_from" on a graph derived from its parent's, so it is
+# at most the sixth line after the name of a span that ended cleanly.
 explore_spans=$(grep -c '"name": "mc.explore"' "$smoke_dir/run.json" || true)
 explore_models=$(grep -A6 '"name": "mc.explore"' "$smoke_dir/run.json" | grep -cE '"model": "[0-9a-f]{12}"' || true)
 [[ "$explore_spans" -gt 0 && "$explore_spans" == "$explore_models" ]] \

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -539,6 +540,35 @@ func TestStoreReopenAdoptsAndRejectsCorrupt(t *testing.T) {
 	}
 	if re.Len() != 1 {
 		t.Fatalf("corrupt entry not dropped: len = %d, want 1", re.Len())
+	}
+}
+
+// TestStoreQuarantinesRewrittenEntry: a result file rewritten after Get
+// served it — still valid JSON of the same result, but not the bytes Put
+// wrote — is quarantined on the next Get instead of served.
+func TestStoreQuarantinesRewrittenEntry(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Impl: "OAI", Seed: 9}
+	b, err := store.Put(&Result{SchemaVersion: ResultSchemaVersion, Key: spec.Key(), Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := store.Get(spec.Key()); !ok {
+		t.Fatal("stored result not served")
+	}
+	tabbed := bytes.ReplaceAll(b, []byte("  "), []byte("\t"))
+	if err := os.WriteFile(filepath.Join(dir, spec.Key()+".json"), tabbed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, ok := store.Get(spec.Key()); ok {
+		t.Fatalf("rewritten entry served: %q", got)
+	}
+	if store.Quarantined() != 1 || store.Len() != 0 {
+		t.Fatalf("quarantined = %d, len = %d; want 1, 0", store.Quarantined(), store.Len())
 	}
 }
 

@@ -1,9 +1,11 @@
 package jobs
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -23,6 +25,10 @@ type Store struct {
 	mu    sync.Mutex
 	lru   *list.List               // front = least recently used
 	index map[string]*list.Element // key -> element whose Value is the key
+	// canon holds, per key, the CRC-32 of the file bytes last found to
+	// be the canonical encoding, so Get re-marshals a result only when
+	// its file is new to this process or has changed.
+	canon map[string]uint32
 
 	evictions   atomic.Int64
 	quarantined atomic.Int64
@@ -67,7 +73,7 @@ func OpenStore(dir string, maxEntries int) (*Store, error) {
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
 
-	s := &Store{dir: dir, max: maxEntries, lru: list.New(), index: make(map[string]*list.Element)}
+	s := &Store{dir: dir, max: maxEntries, lru: list.New(), index: make(map[string]*list.Element), canon: make(map[string]uint32)}
 	for _, f := range found {
 		s.index[f.key] = s.lru.PushBack(f.key)
 	}
@@ -81,8 +87,11 @@ func (s *Store) path(key string) string { return filepath.Join(s.dir, key+".json
 
 // Get looks up a stored result by key, returning the exact stored bytes
 // alongside the decoded result and bumping the entry's recency. A
-// missing or unreadable entry reports ok=false (a corrupt file is
-// dropped from the index so a fresh Put can replace it).
+// missing or unreadable entry reports ok=false. A corrupt file — one
+// that does not decode, carries another schema version or key, or is
+// not byte for byte the canonical encoding Put writes — is quarantined,
+// so a fresh Put can replace it and a cache hit is always
+// byte-identical to a fresh computation.
 func (s *Store) Get(key string) ([]byte, *Result, bool) {
 	if s == nil {
 		return nil, nil, false
@@ -99,9 +108,17 @@ func (s *Store) Get(key string) ([]byte, *Result, bool) {
 		return nil, nil, false
 	}
 	var res Result
-	if err := json.Unmarshal(b, &res); err != nil || res.SchemaVersion != ResultSchemaVersion {
+	if err := json.Unmarshal(b, &res); err != nil || res.SchemaVersion != ResultSchemaVersion || res.Key != key {
 		s.quarantineLocked(key, el)
 		return nil, nil, false
+	}
+	sum := crc32.ChecksumIEEE(b)
+	if prev, ok := s.canon[key]; !ok || prev != sum {
+		if canon, err := res.MarshalCanonical(); err != nil || !bytes.Equal(canon, b) {
+			s.quarantineLocked(key, el)
+			return nil, nil, false
+		}
+		s.canon[key] = sum
 	}
 	s.lru.MoveToBack(el)
 	return b, &res, true
@@ -145,6 +162,7 @@ func (s *Store) Put(res *Result) ([]byte, error) {
 		return nil, fmt.Errorf("jobs: publishing result: %w", err)
 	}
 	s.index[res.Key] = s.lru.PushBack(res.Key)
+	s.canon[res.Key] = crc32.ChecksumIEEE(b)
 	s.evictLocked()
 	return b, nil
 }
@@ -182,6 +200,7 @@ func (s *Store) Quarantined() int64 {
 func (s *Store) quarantineLocked(key string, el *list.Element) {
 	s.lru.Remove(el)
 	delete(s.index, key)
+	delete(s.canon, key)
 	qdir := filepath.Join(s.dir, "quarantine")
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
 		if os.Rename(s.path(key), filepath.Join(qdir, key+".json")) == nil {
@@ -207,5 +226,6 @@ func (s *Store) evictLocked() {
 func (s *Store) dropLocked(key string, el *list.Element) {
 	s.lru.Remove(el)
 	delete(s.index, key)
+	delete(s.canon, key)
 	os.Remove(s.path(key))
 }

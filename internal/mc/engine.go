@@ -8,7 +8,10 @@
 // shares one exploration, and any edit to a system moves it to another
 // key. A cached graph builds its traces from the system that was
 // explored first; callers must therefore never edit a system once it
-// has been checked (CEGAR refines a fresh clone each time).
+// has been checked (CEGAR refines a fresh clone each time). A miss on
+// a clone whose origin's complete graph is cached under the same
+// budget derives the clone's graph from it (derive.go) when the clone
+// only removes rules or adds one observation variable.
 package mc
 
 import (
@@ -126,6 +129,10 @@ func (e *Engine) CacheCounters() (hits, misses, evictions int) {
 // cancelled under another caller's context builds the graph itself.
 func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*StateGraph, bool, error) {
 	key := graphKey{model: sys.Fingerprint(), maxStates: opts.maxStates()}
+	parentKey := key
+	if origin := sys.Origin(); origin != nil {
+		parentKey.model = origin.Fingerprint()
+	}
 	reg := obs.FromContext(ctx).Metrics()
 	for {
 		e.mu.Lock()
@@ -156,10 +163,11 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*S
 		reg.Counter("mc.graph_cache_evictions").Inc()
 	}
 	e.builds++
+	parent := e.readyGraph(parentKey)
 	e.mu.Unlock()
 	reg.Counter("mc.graph_cache_misses").Inc()
 
-	ent.graph, ent.err = buildGraph(ctx, sys, opts)
+	ent.graph, ent.err = build(ctx, parent, sys, opts)
 	if ent.err != nil {
 		// Do not poison the cache: a cancelled or failed build must not
 		// answer later calls that arrive with a live context.
@@ -177,6 +185,38 @@ func (e *Engine) graphFor(ctx context.Context, sys *ts.System, opts Options) (*S
 	}
 	close(ent.ready)
 	return ent.graph, false, ent.err
+}
+
+// readyGraph returns the finished, complete graph cached under key, or
+// nil when there is none (missing, still building, failed, truncated,
+// or key is the model being built). Callers hold e.mu.
+func (e *Engine) readyGraph(key graphKey) *StateGraph {
+	ent := e.cache[key]
+	if ent == nil {
+		return nil
+	}
+	select {
+	case <-ent.ready:
+	default:
+		return nil
+	}
+	if ent.err != nil || ent.graph == nil || ent.graph.Truncated {
+		return nil
+	}
+	return ent.graph
+}
+
+// build derives sys's graph from parent — the cached graph of the
+// system sys was cloned from — when sys is a restriction of it the
+// derivation understands (ts.RestrictionOf), and explores it from
+// scratch otherwise.
+func build(ctx context.Context, parent *StateGraph, sys *ts.System, opts Options) (*StateGraph, error) {
+	if parent != nil {
+		if r, ok := ts.RestrictionOf(parent.Sys, sys); ok {
+			return deriveGraph(ctx, parent, sys, r, opts)
+		}
+	}
+	return buildGraph(ctx, sys, opts)
 }
 
 // CheckContext verifies one property on the shared graph. Exploration
@@ -347,8 +387,10 @@ func (g *StateGraph) checkNeverFires(p NeverFires) Result {
 // graph: product nodes are (state id, pending) pairs resolved through a
 // dense index instead of re-interning states, and edges come from the
 // precomputed adjacency, so no guard is re-evaluated and no state is
-// re-hashed. The product BFS and the pending-region DFS mirror the
-// sequential implementation exactly.
+// re-hashed. Product edges are never stored: product edge i of node
+// (sid, pending) is graph edge i of sid with the pending bit advanced,
+// recomputed wherever the search needs it. The product BFS and the
+// pending-region DFS mirror the sequential implementation exactly.
 func (g *StateGraph) checkResponse(p Response, opts Options) (Result, error) {
 	res := Result{Property: p.PropName, Kind: "response"}
 	if g.Truncated {
@@ -380,37 +422,47 @@ func (g *StateGraph) checkResponse(p Response, opts Options) (Result, error) {
 			return res, err
 		}
 	}
+	// step advances the pending bit along a graph edge.
+	step := func(pending bool, ed graphEdge) bool {
+		if trigger[ed.rule] {
+			pending = true
+		}
+		if goal[ed.rule] {
+			pending = false
+		}
+		if pending && goalSat != nil && goalSat[ed.to] {
+			pending = false
+		}
+		return pending
+	}
 
 	// Product interning: node id per (state id, pending bit), dense.
 	nodeID := make([]int32, 2*g.NumStates())
 	for i := range nodeID {
 		nodeID[i] = -1
 	}
+	slot := func(sid int32, pending bool) int32 {
+		if pending {
+			return 2*sid + 1
+		}
+		return 2 * sid
+	}
 	type pnode struct {
 		sid     int32
 		pending bool
 	}
-	type pedge struct {
-		to   int32
-		rule int32
-	}
 	var nodes []pnode
-	var padj [][]pedge
 	parent := []int32{-1}
 	parentRule := []int32{-1}
 
 	internNode := func(n pnode, from, rule int32) (int32, bool) {
-		slot := 2 * n.sid
-		if n.pending {
-			slot++
-		}
-		if id := nodeID[slot]; id >= 0 {
+		sl := slot(n.sid, n.pending)
+		if id := nodeID[sl]; id >= 0 {
 			return id, false
 		}
 		id := int32(len(nodes))
-		nodeID[slot] = id
+		nodeID[sl] = id
 		nodes = append(nodes, n)
-		padj = append(padj, nil)
 		if id > 0 {
 			parent = append(parent, from)
 			parentRule = append(parentRule, rule)
@@ -431,18 +483,7 @@ func (g *StateGraph) checkResponse(p Response, opts Options) (Result, error) {
 		queue = queue[1:]
 		n := nodes[id]
 		for _, ed := range g.adj[n.sid] {
-			pending := n.pending
-			if trigger[ed.rule] {
-				pending = true
-			}
-			if goal[ed.rule] {
-				pending = false
-			}
-			if pending && goalSat != nil && goalSat[ed.to] {
-				pending = false
-			}
-			nid, fresh := internNode(pnode{sid: ed.to, pending: pending}, id, ed.rule)
-			padj[id] = append(padj[id], pedge{to: nid, rule: ed.rule})
+			nid, fresh := internNode(pnode{sid: ed.to, pending: step(n.pending, ed)}, id, ed.rule)
 			if fresh {
 				queue = append(queue, nid)
 			}
@@ -478,22 +519,24 @@ func (g *StateGraph) checkResponse(p Response, opts Options) (Result, error) {
 		colour[rootID] = 1
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if len(padj[f.id]) == 0 {
+			edges := g.adj[nodes[f.id].sid]
+			if len(edges) == 0 {
 				path := nodePath(f.id)
 				res.Counterexample = buildTrace(g.Sys, path, len(path))
 				return res, nil
 			}
 			advanced := false
-			for f.next < len(padj[f.id]) {
-				ed := padj[f.id][f.next]
+			for f.next < len(edges) {
+				ed := edges[f.next]
 				f.next++
-				if !nodes[ed.to].pending {
+				if !step(true, ed) {
 					continue // leaving the pending region discharges along this edge
 				}
-				switch colour[ed.to] {
+				to := nodeID[slot(ed.to, true)]
+				switch colour[to] {
 				case 1:
 					path := nodePath(f.id)
-					loopEntry := len(nodePath(ed.to))
+					loopEntry := len(nodePath(to))
 					if loopEntry > len(path) {
 						loopEntry = len(path)
 					}
@@ -501,8 +544,8 @@ func (g *StateGraph) checkResponse(p Response, opts Options) (Result, error) {
 					res.Counterexample = buildTrace(g.Sys, full, loopEntry)
 					return res, nil
 				case 0:
-					colour[ed.to] = 1
-					stack = append(stack, frame{id: ed.to})
+					colour[to] = 1
+					stack = append(stack, frame{id: to})
 					advanced = true
 				}
 				if advanced {

@@ -74,30 +74,16 @@ type levelExplorer struct {
 // buildGraph explores the system with the sharded level-synchronised
 // worker pool and returns the interned reachability graph.
 //
-// Observability: each build is one "mc.explore" span carrying the
-// model's short fingerprint as its "model" attribute; the registry's
-// mc.* instruments are resolved once up front (all nil-safe no-ops when
-// no observer rides the context). Frontier width and visited-set size
-// are per-shard labelled instruments; spill and peak-residency numbers
-// are global.
+// Observability: each build is one "mc.explore" span (see
+// startExplore); the registry's mc.* instruments are resolved once up
+// front (all nil-safe no-ops when no observer rides the context).
+// Frontier width and visited-set size are per-shard labelled
+// instruments; spill and peak-residency numbers are global.
 func buildGraph(ctx context.Context, sys *ts.System, opts Options) (graph *StateGraph, err error) {
 	reg := obs.FromContext(ctx).Metrics()
 	model := sys.Fingerprint()
-	_, span := obs.Start(ctx, "mc.explore", obs.A("system", sys.Name), obs.A("model", model.Short()))
-	buildStart := time.Now()
-	defer func() {
-		if graph != nil {
-			n := graph.NumStates()
-			reg.Counter("mc.states_explored").Add(int64(n))
-			reg.Counter("mc.explorations").Inc()
-			if elapsed := time.Since(buildStart); elapsed > 0 {
-				reg.Gauge("mc.states_per_sec").Set(int64(float64(n) / elapsed.Seconds()))
-			}
-			span.SetAttr("states", strconv.Itoa(n))
-			span.SetAttr("truncated", strconv.FormatBool(graph.Truncated))
-		}
-		span.EndErr(err)
-	}()
+	span, finish := startExplore(ctx, sys)
+	defer func() { finish(graph, err) }()
 
 	rules, err := sys.CompileRules()
 	if err != nil {
@@ -490,43 +476,81 @@ func (e *levelExplorer) mergeLevel(cands [][]candidate, pend [][]pendingEntry) e
 // snapshot checkpoint (every snapshotEvery levels, plus always when the
 // frontier drains so completed explorations resume for free).
 func (e *levelExplorer) endOfLevel() error {
-	g := e.g
-	moved, err := g.arena.enforceBudget(e.opts.MemBudget, e.opts.SpillDir)
-	if err != nil {
-		return err
-	}
-	if moved > 0 {
-		e.spillBytes.Add(moved)
-	}
-	resident := g.arena.memBytes()
+	var index int64
 	for k, x := range e.shards {
-		resident += x.memBytes()
+		index += x.memBytes()
 		e.occupancy[k].Set(int64(x.used))
 	}
-	e.peakBytes.SetMax(resident)
+	if err := e.g.levelDone(e.opts, index, e.spillBytes, e.peakBytes); err != nil {
+		return err
+	}
 	if e.opts.SnapshotDir != "" &&
 		(len(e.frontier) == 0 || e.level%e.opts.snapshotEvery() == 0) {
 		if err := e.writeSnapshot(); err != nil {
 			return err
 		}
 	}
-	// One progress event per completed level: how deep the exploration
-	// is, how many states it holds, and how wide the next frontier is —
-	// the live feedback streaming clients steer budgets by. Publishing
-	// never blocks, so the level loop pays only the ring append.
-	if e.bus == nil {
-		return nil
+	publishLevel(e.bus, e.scope, e.g, e.level, len(e.frontier))
+	return nil
+}
+
+// startExplore opens one build's "mc.explore" span, carrying the
+// system name and the model's short fingerprint ("model") plus attrs,
+// and returns the function that ends it: for a built graph it records
+// the states and truncation on the span and the exploration totals in
+// the registry.
+func startExplore(ctx context.Context, sys *ts.System, attrs ...obs.Attr) (*obs.Span, func(*StateGraph, error)) {
+	reg := obs.FromContext(ctx).Metrics()
+	attrs = append([]obs.Attr{obs.A("system", sys.Name), obs.A("model", sys.Fingerprint().Short())}, attrs...)
+	_, span := obs.Start(ctx, "mc.explore", attrs...)
+	start := time.Now()
+	return span, func(graph *StateGraph, err error) {
+		if graph != nil {
+			n := graph.NumStates()
+			reg.Counter("mc.states_explored").Add(int64(n))
+			reg.Counter("mc.explorations").Inc()
+			if elapsed := time.Since(start); elapsed > 0 {
+				reg.Gauge("mc.states_per_sec").Set(int64(float64(n) / elapsed.Seconds()))
+			}
+			span.SetAttr("states", strconv.Itoa(n))
+			span.SetAttr("truncated", strconv.FormatBool(graph.Truncated))
+		}
+		span.EndErr(err)
 	}
-	e.bus.Publish(obs.BusEvent{
+}
+
+// levelDone is the level-boundary memory bookkeeping every builder
+// runs: spill enforcement under the memory budget, then the peak
+// residency of the arena plus the builder's index bytes.
+func (g *StateGraph) levelDone(opts Options, indexBytes int64, spillBytes *obs.Counter, peakBytes *obs.Gauge) error {
+	moved, err := g.arena.enforceBudget(opts.MemBudget, opts.SpillDir)
+	if err != nil {
+		return err
+	}
+	if moved > 0 {
+		spillBytes.Add(moved)
+	}
+	peakBytes.SetMax(g.arena.memBytes() + indexBytes)
+	return nil
+}
+
+// publishLevel sends one progress event per completed level: how deep
+// the exploration is, how many states it holds, and how wide the next
+// frontier is — the live feedback streaming clients steer budgets by.
+// Publishing never blocks, so the level loop pays only the ring append.
+func publishLevel(bus *obs.Bus, scope string, g *StateGraph, level, frontier int) {
+	if bus == nil {
+		return
+	}
+	bus.Publish(obs.BusEvent{
 		Type:  "progress",
-		Scope: e.scope,
+		Scope: scope,
 		Name:  "mc.level",
-		Value: int64(e.level),
+		Value: int64(level),
 		Attrs: map[string]string{
 			"system":   g.Sys.Name,
 			"states":   strconv.Itoa(g.NumStates()),
-			"frontier": strconv.Itoa(len(e.frontier)),
+			"frontier": strconv.Itoa(frontier),
 		},
 	})
-	return nil
 }

@@ -182,6 +182,9 @@ type System struct {
 	// current.
 	gen uint64
 	fp  atomic.Pointer[fingerprintMemo]
+	// origin is the system this one was cloned from (nil for a system
+	// built from scratch); RestrictionOf recognises refinements of it.
+	origin *System
 }
 
 // fingerprintMemo is a computed Fingerprint and the generation it
@@ -233,11 +236,7 @@ func (sys *System) Fingerprint() Fingerprint {
 	b.int(len(sys.rules))
 	for _, r := range sys.rules {
 		b.str(r.Name)
-		guard := True{}.SMV()
-		if r.Guard != nil {
-			guard = r.Guard.SMV()
-		}
-		b.str(guard)
+		b.str(guardSMV(r))
 		b.int(len(r.Assigns))
 		for _, a := range r.Assigns {
 			b.str(a.Var)
@@ -614,11 +613,13 @@ func (sys *System) Assignments(s State) map[string]string {
 // Clone deep-copies the system so CEGAR refinements (rule pruning, guard
 // strengthening, even new monitor variables) cannot affect the original.
 // The clone inherits the original's generation and memoized
-// fingerprint: until it is edited it is the same model.
+// fingerprint: until it is edited it is the same model. It also
+// remembers the original as its Origin.
 func (sys *System) Clone() *System {
 	out := &System{
 		Name:     sys.Name,
 		gen:      sys.gen,
+		origin:   sys,
 		vars:     make([]Var, len(sys.vars)),
 		varIdx:   make(map[string]int, len(sys.varIdx)),
 		valIdx:   make([]map[string]uint8, len(sys.valIdx)),
@@ -643,6 +644,10 @@ func (sys *System) Clone() *System {
 	out.fp.Store(sys.fp.Load())
 	return out
 }
+
+// Origin returns the system this one was cloned from, or nil when it
+// was not made by Clone.
+func (sys *System) Origin() *System { return sys.origin }
 
 // SMV renders the system as a nuXmv-style module: enumerated VAR
 // declarations, ASSIGN init clauses, and a TRANS relation that is the

@@ -105,7 +105,9 @@ func TestCheckAllWithObserver(t *testing.T) {
 // TestCheckAllManifestNamesModels: the manifest of a srsLTE catalogue
 // check shows which model every exploration covered and which checks the
 // graph cache answered. srsLTE's 20 CEGAR refinements reach only 7
-// distinct models, so a cold run explores exactly 7, each once.
+// distinct models, so a cold run explores exactly 7, each once. Only
+// the unrefined model is explored from scratch: each refined model's
+// graph is derived from a model explored before it ("derived_from").
 func TestCheckAllManifestNamesModels(t *testing.T) {
 	coldEngine(t)
 	o := obs.New()
@@ -119,6 +121,8 @@ func TestCheckAllManifestNamesModels(t *testing.T) {
 	m := o.Manifest()
 	short := regexp.MustCompile(`^[0-9a-f]{12}$`)
 	explored := map[string]int{}
+	ended := map[string]float64{} // model -> end of its exploration
+	var derived []*obs.SpanNode
 	hits, misses := 0, 0
 	m.Spans.Walk(func(n *obs.SpanNode) {
 		switch n.Name {
@@ -127,6 +131,10 @@ func TestCheckAllManifestNamesModels(t *testing.T) {
 				t.Errorf("mc.explore span model = %q, want 12 hex digits", n.Attrs["model"])
 			}
 			explored[n.Attrs["model"]]++
+			ended[n.Attrs["model"]] = n.StartMS + n.DurMS
+			if _, ok := n.Attrs["derived_from"]; ok {
+				derived = append(derived, n)
+			}
 		case "cegar.iteration":
 			if !short.MatchString(n.Attrs["model"]) {
 				t.Errorf("cegar.iteration span model = %q, want 12 hex digits", n.Attrs["model"])
@@ -151,12 +159,30 @@ func TestCheckAllManifestNamesModels(t *testing.T) {
 	if total != 7 || len(explored) != 7 {
 		t.Errorf("%d mc.explore spans over %d distinct models, want 7 over 7", total, len(explored))
 	}
+	if fresh := total - len(derived); fresh != 1 {
+		t.Errorf("%d mc.explore spans without derived_from, want 1", fresh)
+	}
+	for _, n := range derived {
+		from := n.Attrs["derived_from"]
+		end, ok := ended[from]
+		switch {
+		case !short.MatchString(from):
+			t.Errorf("model %s: derived_from = %q, want 12 hex digits", n.Attrs["model"], from)
+		case !ok:
+			t.Errorf("model %s derived from %s, which the manifest never explored", n.Attrs["model"], from)
+		case end > n.StartMS:
+			t.Errorf("model %s derived from %s before that exploration ended", n.Attrs["model"], from)
+		}
+	}
 	counter := func(name string) int64 {
 		v, _ := m.Metrics[name].(int64)
 		return v
 	}
 	if got := counter("mc.explorations"); got != int64(total) {
 		t.Errorf("mc.explorations = %d, manifest has %d mc.explore spans", got, total)
+	}
+	if got := counter("mc.derived_graphs"); got != int64(len(derived)) {
+		t.Errorf("mc.derived_graphs = %d, manifest has %d derived mc.explore spans", got, len(derived))
 	}
 	if got := counter("mc.graph_cache_misses"); got != int64(misses) {
 		t.Errorf("mc.graph_cache_misses = %d, %d iterations report a miss", got, misses)
